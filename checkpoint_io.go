@@ -8,10 +8,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 
+	"dismem/internal/durable"
 	"dismem/internal/memmodel"
 	"dismem/internal/sim"
 	"dismem/internal/source"
@@ -75,68 +74,10 @@ type ckptPayload struct {
 	State           *sim.CheckpointState `json:"state"`
 }
 
-// ckptSchemaFingerprint digests the reflected shape of the payload —
-// every field name, JSON tag and type, recursively — so a checkpoint
-// written by a build whose state structs drifted (a renamed field, a
-// changed type) is rejected up front instead of half-decoding.
-var ckptSchemaFingerprint = func() [sha256.Size]byte {
-	var b strings.Builder
-	describeType(&b, reflect.TypeOf(ckptPayload{}), map[reflect.Type]bool{})
-	return sha256.Sum256([]byte(b.String()))
-}()
-
-var jsonMarshalerType = reflect.TypeOf((*json.Marshaler)(nil)).Elem()
-
-// describeType appends a canonical structural description of t.
-// Recursive types (CursorState, DistState) are expanded once and
-// referenced by name afterwards. Types with custom JSON marshaling are
-// tagged as such: their wire form is their method's business, and the
-// tag still changes the fingerprint if such a type replaces a plain
-// one.
-func describeType(b *strings.Builder, t reflect.Type, visited map[reflect.Type]bool) {
-	switch t.Kind() {
-	case reflect.Pointer:
-		b.WriteByte('*')
-		describeType(b, t.Elem(), visited)
-	case reflect.Slice:
-		b.WriteString("[]")
-		describeType(b, t.Elem(), visited)
-	case reflect.Array:
-		fmt.Fprintf(b, "[%d]", t.Len())
-		describeType(b, t.Elem(), visited)
-	case reflect.Map:
-		b.WriteString("map[")
-		describeType(b, t.Key(), visited)
-		b.WriteByte(']')
-		describeType(b, t.Elem(), visited)
-	case reflect.Struct:
-		name := t.String()
-		if visited[t] {
-			b.WriteString(name)
-			return
-		}
-		visited[t] = true
-		if t.Implements(jsonMarshalerType) || reflect.PointerTo(t).Implements(jsonMarshalerType) {
-			b.WriteString(name)
-			b.WriteString("(custom-json)")
-			return
-		}
-		b.WriteString(name)
-		b.WriteByte('{')
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if f.PkgPath != "" {
-				continue // unexported: not on the wire
-			}
-			fmt.Fprintf(b, "%s`%s`:", f.Name, f.Tag.Get("json"))
-			describeType(b, f.Type, visited)
-			b.WriteByte(';')
-		}
-		b.WriteByte('}')
-	default:
-		b.WriteString(t.String())
-	}
-}
+// ckptSchemaFingerprint digests the reflected shape of the payload, so
+// a checkpoint written by a build whose state structs drifted is
+// rejected up front instead of half-decoding.
+var ckptSchemaFingerprint = durable.Fingerprint(reflect.TypeOf(ckptPayload{}))
 
 // SaveCheckpoint serializes cp to w in the versioned, digest-protected
 // envelope format. It fails, without writing anything, for checkpoints
@@ -150,7 +91,10 @@ func SaveCheckpoint(w io.Writer, cp *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	return writeEnvelope(w, payload)
+	if err := writeEnvelope(w, payload); err != nil {
+		return fmt.Errorf("dismem: writing checkpoint: %w", err)
+	}
+	return nil
 }
 
 // encodeCheckpoint flattens cp to the JSON payload bytes.
@@ -314,49 +258,17 @@ func rebuildCheckpoint(p *ckptPayload) (*Checkpoint, error) {
 	return &Checkpoint{cp: cp, opts: opts}, nil
 }
 
-// WriteCheckpointFile saves cp to path atomically: the envelope is
-// written to a temporary file in the same directory, fsynced, and
-// renamed over path, so a crash at any instant leaves either the old
-// file or the new one — never a torn checkpoint. The directory entry
-// is fsynced after the rename where the platform supports it.
+// WriteCheckpointFile saves cp to path atomically (durable.WriteFile):
+// a crash at any instant leaves either the old file or the new one —
+// never a torn checkpoint. The payload is encoded before the temporary
+// file is created, so an encoding error cannot leave one behind.
 func WriteCheckpointFile(path string, cp *Checkpoint) error {
 	payload, err := encodeCheckpoint(cp)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
+	if err := durable.WriteFile(path, func(w io.Writer) error { return writeEnvelope(w, payload) }); err != nil {
 		return fmt.Errorf("dismem: writing checkpoint: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	// Re-wrap the already-encoded payload so a payload encoding error
-	// cannot leave a temp file behind.
-	if err := writeEnvelope(tmp, payload); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("dismem: syncing checkpoint %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("dismem: closing checkpoint %s: %w", tmp.Name(), err)
-	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("dismem: publishing checkpoint: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		// Persist the rename itself; ignore failures — some filesystems
-		// reject directory fsync, and the data file is already durable.
-		_ = d.Sync()
-		d.Close()
 	}
 	return nil
 }
@@ -376,7 +288,7 @@ func writeEnvelope(w io.Writer, payload []byte) error {
 	digest := sha256.Sum256(payload)
 	for _, b := range [][]byte{hdr.Bytes(), payload, digest[:]} {
 		if _, err := w.Write(b); err != nil {
-			return fmt.Errorf("dismem: writing checkpoint: %w", err)
+			return err
 		}
 	}
 	return nil

@@ -3,24 +3,24 @@
 // DESIGN.md §4 for the experiment inventory and EXPERIMENTS.md for the
 // recorded results.
 //
-// Sweeps are crash-safe: with -manifest, every completed (cell, seed)
-// unit is journaled as it finishes, SIGINT/SIGTERM interrupt the sweep
-// cleanly (exit status 3), and re-running with -resume skips the
-// journaled units and produces output identical to an uninterrupted
-// run.
+// With -store, every completed (cell, seed) simulation unit is
+// archived to a queryable run store (inspect with dmstore) at its
+// cell's barrier. The store is also the resume journal: sweeps are
+// crash-safe, SIGINT/SIGTERM interrupt them cleanly (exit status 3),
+// and re-running with -store and -resume serves the archived units
+// instead of re-running them and produces output identical to an
+// uninterrupted run. A hard crash re-runs at most the cell in flight.
 //
 // Usage:
 //
 //	dmsweep -exp fig3                 # one experiment
 //	dmsweep -exp all -jobs 8000       # the full evaluation
 //	dmsweep -exp table2 -csv          # machine-readable output
-//	dmsweep -exp all -manifest s.jsonl          # journal progress
-//	dmsweep -exp all -manifest s.jsonl -resume  # continue after a crash
+//	dmsweep -exp all -store runs          # archive progress
+//	dmsweep -exp all -store runs -resume  # continue after a crash
 //
-// With -store, every completed simulation unit is archived to a
-// queryable run store (inspect with dmstore); with -metrics-addr, the
-// sweep serves its progress as a Prometheus text-format /metrics
-// endpoint while running:
+// With -metrics-addr, the sweep serves its progress as a Prometheus
+// text-format /metrics endpoint while running:
 //
 //	dmsweep -exp all -store runs -metrics-addr :9090
 package main
@@ -54,8 +54,7 @@ func main() {
 		jobs     = flag.Int("jobs", 0, "jobs per simulation (0 = experiment default)")
 		seeds    = flag.Int("seeds", 0, "seeds per cell (0 = experiment default)")
 		workers  = flag.Int("workers", 0, "concurrent simulation units (0 = GOMAXPROCS)")
-		manifest = flag.String("manifest", "", "journal completed units to this JSONL file")
-		resume   = flag.Bool("resume", false, "resume from the -manifest journal, skipping completed units")
+		resume   = flag.Bool("resume", false, "serve units already archived in the -store run store instead of re-running them (continue an interrupted sweep)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		plot     = flag.Bool("plot", false, "also render figure sweeps as ASCII charts")
 		storeDir = flag.String("store", "", "archive every completed unit's report to a run store in this directory (query with dmstore)")
@@ -65,8 +64,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *resume && *manifest == "" {
-		fmt.Fprintln(os.Stderr, "dmsweep: -resume requires -manifest")
+	if *resume && *storeDir == "" {
+		fmt.Fprintln(os.Stderr, "dmsweep: -resume requires -store")
 		os.Exit(2)
 	}
 	stop, perr := profiling.Start(*cpuProf, *memProf)
@@ -80,7 +79,7 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	o := sweep.Options{Jobs: *jobs, Seeds: *seeds, Workers: *workers, Ctx: ctx}
+	o := sweep.Options{Jobs: *jobs, Seeds: *seeds, Workers: *workers, Ctx: ctx, Resume: *resume}
 	if *storeDir != "" {
 		store, err := runstore.Open(*storeDir)
 		if err != nil {
@@ -88,6 +87,9 @@ func main() {
 			os.Exit(2)
 		}
 		defer store.Close()
+		if *resume && store.Len() > 0 {
+			fmt.Fprintf(os.Stderr, "dmsweep: resuming; %d runs archived in %s\n", store.Len(), *storeDir)
+		}
 		o.Store = store
 	}
 	var unitsDone atomic.Int64
@@ -96,23 +98,11 @@ func main() {
 		startMetricsServer(*metrAddr, telemetry.SourceFunc(func() []telemetry.Metric {
 			return []telemetry.Metric{{
 				Name:  "dmsweep_units_done_total",
-				Help:  "simulation units completed (including units served from the resume journal)",
+				Help:  "simulation units completed (including units served from the run store on -resume)",
 				Type:  telemetry.Counter,
 				Value: float64(unitsDone.Load()),
 			}}
 		}))
-	}
-	if *manifest != "" {
-		m, err := sweep.OpenManifest(*manifest, o, *resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmsweep:", err)
-			os.Exit(2)
-		}
-		defer m.Close()
-		if *resume && m.Units() > 0 {
-			fmt.Fprintf(os.Stderr, "dmsweep: resuming; %d completed units journaled in %s\n", m.Units(), *manifest)
-		}
-		o.Manifest = m
 	}
 
 	var tables []*sweep.Table
@@ -125,8 +115,8 @@ func main() {
 	if err != nil {
 		if errors.Is(err, sweep.ErrInterrupted) {
 			fmt.Fprintln(os.Stderr, "dmsweep:", err)
-			if *manifest != "" {
-				fmt.Fprintf(os.Stderr, "dmsweep: progress journaled; rerun with -manifest %s -resume to continue\n", *manifest)
+			if *storeDir != "" {
+				fmt.Fprintf(os.Stderr, "dmsweep: progress archived; rerun with -store %s -resume to continue\n", *storeDir)
 			}
 			flushProfiles()
 			os.Exit(exitInterrupted)

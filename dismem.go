@@ -59,8 +59,10 @@
 // run as a versioned, digest-protected envelope, so it survives the
 // process and resumes bit-identically in another one — corrupted,
 // truncated or version-skewed files are always rejected, never
-// silently misread (DESIGN.md §9). dmsched -ckpt-save/-ckpt-load and
-// the crash-safe dmsweep -manifest/-resume build on this.
+// silently misread (DESIGN.md §9). dmsched -ckpt-save/-ckpt-load build
+// on this, and the crash-safe dmsweep -store/-resume shares its
+// durability discipline: it resumes from the run store, where a unit
+// is done exactly when its record is archived.
 //
 // Runs can be perturbed by a deterministic scenario timeline — outages
 // and recoveries, pool degradation, fabric brownouts, arrival surges

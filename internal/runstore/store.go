@@ -8,18 +8,21 @@
 //	<dir>/seg-000001.jsonl  one {"sum": <sha256>, "run": {...}} line per run
 //
 // Every segment line carries the SHA-256 of its record bytes, and the
-// index is replaced atomically (temp file, fsync, rename — the PR 6
-// checkpoint discipline), so the failure modes are sharp: a write torn
-// by a crash loses at most the trailing line of the newest segment
-// (tolerated and dropped on open), while interior corruption — a bad
-// checksum, malformed JSON, a record written by a build with a
-// different schema — fails Open loudly with the file and line rather
-// than serving silently wrong history.
+// index is replaced atomically (durable.WriteFile: temp file, fsync,
+// rename — the checkpoint discipline), so the failure modes are sharp:
+// a write torn by a crash loses at most the trailing line of the
+// segment that session was appending to (tolerated and dropped on
+// open), while interior corruption — a bad checksum, malformed JSON, a
+// record written by a build with a different schema — fails Open
+// loudly with the file and line rather than serving silently wrong
+// history.
 //
 // Records carry no wall-clock fields: a run's stored form depends only
 // on its configuration and outcome, so an interrupted-and-resumed
 // sweep archives byte-identical records to an uninterrupted one — the
-// property the CI run-store smoke diffs.
+// property the CI run-store smoke diffs. The store is also dmsweep's
+// resume journal: a sweep unit is done exactly when its record is
+// archived.
 package runstore
 
 import (
@@ -36,12 +39,22 @@ import (
 	"sort"
 	"sync"
 
+	"dismem/internal/durable"
 	"dismem/internal/metrics"
 )
 
 // storeFormat names the store layout. Bump on any incompatible change
 // to the index or line shapes.
 const storeFormat = "dmstore/1"
+
+// recordSchema pins the Run type's wire shape (and transitively
+// metrics.Report's): the first 8 bytes of its durable.Fingerprint, in
+// hex. An archive written by a build with a different record layout is
+// rejected instead of mis-decoded.
+var recordSchema = func() string {
+	fp := durable.Fingerprint(reflect.TypeOf(Run{}))
+	return hex.EncodeToString(fp[:8])
+}()
 
 // Run is one archived run. ID is the record's identity (see KeyOf):
 // re-appending an identical record is a no-op, and when two records
@@ -60,6 +73,12 @@ type Run struct {
 	Events     uint64          `json:"events,omitempty"`
 	Stopped    bool            `json:"stopped,omitempty"`
 	SeriesFile string          `json:"series_file,omitempty"`
+	// JainWait and Records are the seed-0 quantities a sweep's tables
+	// reduce beyond the report: per-user wait fairness and the per-job
+	// records behind CDF figures. Only seed 0 of a sweep cell sets them,
+	// so a resumed sweep can serve that unit without re-running it.
+	JainWait float64             `json:"jain_wait,omitempty"`
+	Records  []metrics.JobRecord `json:"records,omitempty"`
 }
 
 // KeyOf derives a run's identity from its configuration: the kind, the
@@ -105,9 +124,9 @@ type Store struct {
 }
 
 // Open opens (or creates) the run store rooted at dir and loads every
-// intact record. A torn trailing line in the newest segment — a write
-// cut by a crash — is dropped; any other defect is an error naming the
-// offending file and line.
+// intact record. A torn trailing line at the end of a segment — a
+// write cut by a crash — is dropped; any other defect is an error
+// naming the offending file and line.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runstore: open %s: %w", dir, err)
@@ -115,7 +134,7 @@ func Open(dir string) (*Store, error) {
 	s := &Store{dir: dir, byID: make(map[string]*Run)}
 	data, err := os.ReadFile(s.indexPath())
 	if errors.Is(err, os.ErrNotExist) {
-		s.idx = storeIndex{Format: storeFormat, Schema: runSchema()}
+		s.idx = storeIndex{Format: storeFormat, Schema: recordSchema}
 		return s, nil
 	}
 	if err != nil {
@@ -127,11 +146,11 @@ func Open(dir string) (*Store, error) {
 	if s.idx.Format != storeFormat {
 		return nil, fmt.Errorf("runstore: %s holds format %q, this build reads %q", s.indexPath(), s.idx.Format, storeFormat)
 	}
-	if s.idx.Schema != runSchema() {
+	if s.idx.Schema != recordSchema {
 		return nil, fmt.Errorf("runstore: %s was written by a build with a different record schema; refusing to misread it", dir)
 	}
-	for i, name := range s.idx.Segments {
-		if err := s.loadSegment(name, i == len(s.idx.Segments)-1); err != nil {
+	for _, name := range s.idx.Segments {
+		if err := s.loadSegment(name); err != nil {
 			return nil, err
 		}
 	}
@@ -140,9 +159,12 @@ func Open(dir string) (*Store, error) {
 
 func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
 
-// loadSegment reads one segment, verifying every line's checksum.
-// Only the newest segment may end in a torn line.
-func (s *Store) loadSegment(name string, newest bool) error {
+// loadSegment reads one segment, verifying every line's checksum. Each
+// segment is written by exactly one session, and any session may have
+// crashed mid-append, so any segment may end in one torn line — not
+// just the newest: a resumed sweep appends to a fresh segment after
+// the torn one.
+func (s *Store) loadSegment(name string) error {
 	path := filepath.Join(s.dir, name)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -170,7 +192,7 @@ func (s *Store) loadSegment(name string, newest bool) error {
 			err = fmt.Errorf("record has no id")
 		}
 		if err != nil {
-			if newest && torn && i == len(lines)-1 {
+			if torn && i == len(lines)-1 {
 				return nil // a crash tore the trailing append; the run re-archives
 			}
 			return fmt.Errorf("runstore: segment %s line %d is corrupt: %w", name, i+1, err)
@@ -273,44 +295,19 @@ func (s *Store) openSegmentLocked() error {
 	return nil
 }
 
-// writeIndexLocked replaces index.json atomically: temp file in the
-// same directory, fsync, rename, directory fsync.
+// writeIndexLocked replaces index.json atomically (durable.WriteFile).
 func (s *Store) writeIndexLocked(idx storeIndex) error {
 	b, err := json.MarshalIndent(idx, "", "  ")
 	if err != nil {
 		return fmt.Errorf("runstore: encoding index: %w", err)
 	}
 	b = append(b, '\n')
-	tmp, err := os.CreateTemp(s.dir, "index.json.tmp*")
+	err = durable.WriteFile(s.indexPath(), func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("runstore: writing index: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(b); err != nil {
-		return fmt.Errorf("runstore: writing index: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("runstore: syncing index: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("runstore: closing index: %w", err)
-	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, s.indexPath()); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("runstore: publishing index: %w", err)
-	}
-	if d, err := os.Open(s.dir); err == nil {
-		// Persist the rename; ignore failure — some filesystems reject
-		// directory fsync and the index data itself is already durable.
-		_ = d.Sync()
-		d.Close()
 	}
 	return nil
 }
@@ -371,63 +368,4 @@ func (s *Store) Close() error {
 	err := s.seg.Close()
 	s.seg = nil
 	return err
-}
-
-// --- record schema fingerprint -----------------------------------------
-
-// runSchema fingerprints the Run type (and transitively
-// metrics.Report) so an archive written by a build with a different
-// record layout is rejected instead of mis-decoded — the same
-// discipline as the sweep manifest and the checkpoint envelope.
-func runSchema() string {
-	var buf bytes.Buffer
-	describeRunType(&buf, reflect.TypeOf(Run{}), map[reflect.Type]bool{})
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:8])
-}
-
-func describeRunType(w io.Writer, t reflect.Type, visited map[reflect.Type]bool) {
-	if t.Implements(reflect.TypeOf((*json.Marshaler)(nil)).Elem()) ||
-		reflect.PointerTo(t).Implements(reflect.TypeOf((*json.Marshaler)(nil)).Elem()) {
-		fmt.Fprintf(w, "%s(custom-json)", t.String())
-		return
-	}
-	switch t.Kind() {
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		fmt.Fprintf(w, "%s{", t.Kind())
-		describeRunType(w, t.Elem(), visited)
-		io.WriteString(w, "}")
-	case reflect.Map:
-		io.WriteString(w, "map[")
-		describeRunType(w, t.Key(), visited)
-		io.WriteString(w, "]{")
-		describeRunType(w, t.Elem(), visited)
-		io.WriteString(w, "}")
-	case reflect.Struct:
-		if visited[t] {
-			fmt.Fprintf(w, "cycle(%s)", t.String())
-			return
-		}
-		visited[t] = true
-		fmt.Fprintf(w, "struct %s{", t.String())
-		fields := make([]string, 0, t.NumField())
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			var fb bytes.Buffer
-			describeRunType(&fb, f.Type, visited)
-			fields = append(fields, fmt.Sprintf("%s %s %q", f.Name, fb.String(), f.Tag.Get("json")))
-		}
-		sort.Strings(fields)
-		for _, f := range fields {
-			io.WriteString(w, f)
-			io.WriteString(w, ";")
-		}
-		io.WriteString(w, "}")
-		delete(visited, t)
-	default:
-		io.WriteString(w, t.Kind().String())
-	}
 }

@@ -185,6 +185,87 @@ func TestStoreTornTrailingLine(t *testing.T) {
 	}
 }
 
+// TestStoreTornTailInOlderSegment: a session that crashed mid-append
+// leaves a torn line at the end of its segment; the next session
+// appends to a fresh segment, after which the torn one is no longer
+// the newest. The store must keep loading — the resume-journal case.
+func TestStoreTornTailInOlderSegment(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := 0; seed < 2; seed++ {
+		if err := s.Append(testRun("sweep-unit", "m", seed, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	seg := filepath.Join(dir, "seg-000001.jsonl")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, data[:len(data)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(testRun("sweep-unit", "m", 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatalf("torn tail of an older segment failed the reopen: %v", err)
+	}
+	defer s.Close()
+	runs := s.Runs()
+	if len(runs) != 2 || runs[0].Seed != 0 || runs[1].Seed != 1 {
+		t.Fatalf("reopened store holds %+v, want seeds 0 and 1 in order", runs)
+	}
+}
+
+// TestStoreSeedZeroFields: the seed-0 records and fairness a sweep
+// archives for resume round-trip exactly, and are omitted when unset.
+func TestStoreSeedZeroFields(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := testRun("sweep-unit", "m", 0, 1)
+	r.JainWait = 0.8125
+	r.Records = []metrics.JobRecord{{ID: 7, Nodes: 4, Submit: 10, Start: 100, End: 400, Dilation: 1.25}}
+	if err := s.Append(r); err != nil {
+		t.Fatal(err)
+	}
+	plain := testRun("sweep-unit", "m", 1, 1)
+	if err := s.Append(plain); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if b, _ := json.Marshal(plain); strings.Contains(string(b), "records") || strings.Contains(string(b), "jain_wait") {
+		t.Fatalf("unset seed-0 fields encoded: %s", b)
+	}
+
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, err := s.Get(r.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.JainWait != r.JainWait || len(got.Records) != 1 || got.Records[0] != r.Records[0] {
+		t.Fatalf("seed-0 fields mangled on round trip: %+v", got)
+	}
+}
+
 // TestStoreInteriorCorruptionIsLoud: flipping bytes inside a
 // non-trailing record fails Open with the segment and line named.
 func TestStoreInteriorCorruptionIsLoud(t *testing.T) {
@@ -231,7 +312,7 @@ func TestStoreRejectsForeignIndex(t *testing.T) {
 		t.Fatal("Open accepted an index with a foreign record schema")
 	}
 
-	idx = storeIndex{Format: "dmstore/99", Schema: runSchema()}
+	idx = storeIndex{Format: "dmstore/99", Schema: recordSchema}
 	b, _ = json.Marshal(idx)
 	if err := os.WriteFile(filepath.Join(dir, "index.json"), b, 0o644); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -12,12 +13,14 @@ import (
 	"dismem/internal/runstore"
 	"dismem/internal/sim"
 	"dismem/internal/trace"
+	"dismem/internal/workload"
 )
 
 // ErrInterrupted reports a sweep cancelled through Options.Ctx (for
-// example by SIGINT/SIGTERM in dmsweep). Completed units were already
-// journaled to the manifest, if one is attached, so the same sweep can
-// be resumed without redoing them.
+// example by SIGINT/SIGTERM in dmsweep). The units of every finished
+// cell, and the completed seed-order prefix of the interrupted one,
+// were already archived to the store, if one is attached, so the same
+// sweep can be resumed without redoing them.
 var ErrInterrupted = errors.New("sweep: interrupted")
 
 // Options scales an experiment. Zero values select the full evaluation
@@ -38,19 +41,22 @@ type Options struct {
 	// simulations stop at their next sample tick, pending units are
 	// skipped, and the sweep returns ErrInterrupted.
 	Ctx context.Context
-	// Manifest, when non-nil, journals every completed unit and serves
-	// already-journaled units from the journal instead of re-running
-	// them — the crash-safe resume mechanism behind dmsweep -resume.
-	Manifest *Manifest
 	// Store, when non-nil, archives every completed cacheable unit as a
-	// "sweep-unit" run record once the cell's seeds drain. Records are
-	// appended in seed order and carry no wall-clock state, so a
-	// resumed sweep archives byte-identical records to an uninterrupted
-	// one. Cells holding live code (Scheduler, StopWhen, Series, Trace)
-	// have no durable identity and are skipped.
+	// "sweep-unit" run record at the cell's barrier, once its seeds
+	// drain. Records are appended in seed order and carry no wall-clock
+	// state, so a resumed sweep archives byte-identical records to an
+	// uninterrupted one. Cells holding live code (Scheduler, StopWhen,
+	// Series, Trace) have no durable identity and are skipped.
 	Store *runstore.Store
+	// Resume serves every unit already archived in Store from its record
+	// instead of re-running it — the crash-safe resume behind dmsweep
+	// -resume. A unit is done exactly when its content-derived key is
+	// archived, so a resume at a different scale serves only the units
+	// the two scales share. It is opt-in: without it, archived results
+	// are never served.
+	Resume bool
 	// UnitDone, when non-nil, is called once per successfully completed
-	// simulation unit, including units served from the Manifest journal.
+	// simulation unit, including units served from the store on resume.
 	// It runs on the unit's worker goroutine, so it must be safe for
 	// concurrent use (dmsweep feeds an atomic /metrics progress counter
 	// with it). It observes progress only — it cannot fail the sweep.
@@ -88,8 +94,8 @@ type Cell struct {
 	// Policy is a registered name; Scheduler (factory) overrides it.
 	Policy string
 	// Scheduler builds a fresh scheduler per seed when set. Cells with
-	// a Scheduler factory hold live code and are never served from or
-	// journaled to a Manifest.
+	// a Scheduler factory hold live code and are never archived to or
+	// served from a Store.
 	Scheduler func() dismem.Scheduler
 	// Model is a memory-model spec (default linear:0.5).
 	Model string
@@ -130,14 +136,14 @@ type Cell struct {
 	// Series, when set, attaches a utilization-series sink to each
 	// seed's simulation (dismem.NewJSONLSeriesSink over a per-seed
 	// file, say). Sinks are live writers, so cells with Series are
-	// never journaled to a Manifest or archived to a Store — like
-	// Scheduler and StopWhen, the cell holds live code.
+	// never archived to a Store — like Scheduler and StopWhen, the cell
+	// holds live code.
 	Series func(seed int) metrics.SeriesSink
 	// Trace, when set, attaches a lifecycle-trace sink to each seed's
 	// simulation (dismem.NewJSONLTraceSink over a per-seed file, say).
 	// Tracing is event-driven — it needs no SampleEvery. Like Series,
 	// a Trace factory is live code: the cell's units are never
-	// journaled to a Manifest or archived to a Store.
+	// archived to a Store.
 	Trace func(seed int) trace.TraceSink
 }
 
@@ -192,7 +198,7 @@ type Agg struct {
 }
 
 // seedOut is one seed's outcome, collected for aggregation. It carries
-// plain data (not live simulation handles) so journaled units and live
+// plain data (not live simulation handles) so archived units and live
 // runs are indistinguishable to aggregate().
 type seedOut struct {
 	rep     *metrics.Report
@@ -205,9 +211,10 @@ type seedOut struct {
 // Run simulates the cell for every seed and averages. Seeds run on a
 // worker pool of Options.Workers goroutines; results merge in seed
 // order, not completion order, so the aggregate is identical to a
-// serial run. With a Manifest attached, journaled units are served
-// from the journal and fresh completions are journaled before the
-// worker moves on; with a cancelled Ctx, Run returns ErrInterrupted.
+// serial run. With a Store attached, completed units are archived at
+// the cell's barrier, and with Resume set, archived units are served
+// from the store instead of re-run; with a cancelled Ctx, Run returns
+// ErrInterrupted.
 func (c Cell) Run(o Options) (Agg, error) {
 	o = o.withDefaults()
 	mc := c.Machine
@@ -215,27 +222,26 @@ func (c Cell) Run(o Options) (Agg, error) {
 		mc = dismem.DefaultMachine()
 	}
 
-	outs := make([]seedOut, o.Seeds)
-	type unit struct {
-		s   int
-		key string
+	// Unit identities exist only for cacheable cells, and are computed
+	// only when there is a store to archive them to.
+	var specs [][]byte
+	if o.Store != nil {
+		specs = c.unitSpecs(o, mc)
 	}
-	units := make([]unit, 0, o.Seeds)
-	for s := 0; s < o.Seeds; s++ {
-		key := ""
-		if o.Manifest != nil {
-			if k, err := c.unitKey(o, mc, s); err == nil {
-				key = k
-				if res, ok := o.Manifest.lookup(k); ok {
-					outs[s] = seedOutFromUnit(res, s)
-					if o.UnitDone != nil {
-						o.UnitDone()
-					}
-					continue
+	outs := make([]seedOut, o.Seeds)
+	units := make([]int, 0, o.Seeds)
+	for s := range outs {
+		if o.Resume && specs != nil {
+			// KeyOf IDs have full length, so Get matches exactly.
+			if run, err := o.Store.Get(runstore.KeyOf(unitKind, specs[s], s)); err == nil {
+				outs[s] = seedOutFromRun(run)
+				if outs[s].err == nil && o.UnitDone != nil {
+					o.UnitDone()
 				}
+				continue
 			}
 		}
-		units = append(units, unit{s: s, key: key})
+		units = append(units, s)
 	}
 
 	// Fixed worker pool, each worker owning one dismem.Runner:
@@ -248,68 +254,174 @@ func (c Cell) Run(o Options) (Agg, error) {
 	if workers > len(units) {
 		workers = len(units)
 	}
-	feed := make(chan unit)
+	feed := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			runner := dismem.NewRunner(dismem.Options{})
-			for u := range feed {
-				outs[u.s] = c.runUnit(o, mc, u.s, runner)
-				if u.key != "" && outs[u.s].err == nil {
-					if err := o.Manifest.record(u.key, c.cellLabel(mc), u.s, unitFromSeedOut(outs[u.s])); err != nil {
-						outs[u.s].err = err
-					}
-				}
-				if outs[u.s].err == nil && o.UnitDone != nil {
+			for s := range feed {
+				outs[s] = c.runUnit(o, mc, s, runner)
+				if outs[s].err == nil && o.UnitDone != nil {
 					o.UnitDone()
 				}
 			}
 		}()
 	}
-	for _, u := range units {
-		feed <- u
+	for _, s := range units {
+		feed <- s
 	}
 	close(feed)
 	wg.Wait()
-	if err := c.archive(o, mc, outs); err != nil {
+	if err := c.archive(o, mc, outs, specs); err != nil {
 		return Agg{}, err
 	}
 	return aggregate(outs)
 }
 
-// archive appends the cell's completed units to the run store, in seed
-// order (deterministic across worker counts). Live-code cells have no
-// durable identity and are skipped silently; a store write failure is
-// a sweep failure — an archive that silently drops runs is worse than
-// none.
-func (c Cell) archive(o Options, mc dismem.MachineConfig, outs []seedOut) error {
-	if o.Store == nil {
+// unitKind is the run-store kind of an archived sweep unit.
+const unitKind = "sweep-unit"
+
+// archive appends the cell's completed units to the run store in seed
+// order, stopping at the first unit that did not complete: the archive
+// then holds a seed-order prefix of the cell whatever the worker count
+// or the interruption point, so a resumed sweep appends the remaining
+// units exactly where a clean sweep would have. Units served from the
+// store re-append as no-ops. Live-code cells (nil specs) have no
+// durable identity and are skipped; a store write failure is a sweep
+// failure — an archive that silently drops runs is worse than none.
+func (c Cell) archive(o Options, mc dismem.MachineConfig, outs []seedOut, specs [][]byte) error {
+	if specs == nil {
 		return nil
 	}
 	for s, out := range outs {
 		if out.err != nil {
-			continue // aggregate() surfaces the failure
-		}
-		spec, err := c.unitSpecJSON(o, mc, s)
-		if err != nil {
-			return nil // errNotCacheable: the whole cell holds live code
+			return nil // aggregate() surfaces the failure
 		}
 		rec := runstore.Run{
-			ID:      runstore.KeyOf("sweep-unit", spec, s),
-			Kind:    "sweep-unit",
-			Label:   c.cellLabel(mc),
-			Seed:    s,
-			Spec:    spec,
-			Report:  out.rep,
-			Stopped: out.stopped,
+			ID:       runstore.KeyOf(unitKind, specs[s], s),
+			Kind:     unitKind,
+			Label:    c.cellLabel(mc),
+			Seed:     s,
+			Spec:     specs[s],
+			Report:   out.rep,
+			Stopped:  out.stopped,
+			JainWait: out.jain,
+			Records:  out.records,
 		}
 		if err := o.Store.Append(rec); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// seedOutFromRun rehydrates an archived unit. Only seed 0's record
+// carries Records and JainWait, matching what runUnitOnce collects.
+func seedOutFromRun(run runstore.Run) seedOut {
+	if run.Report == nil {
+		return seedOut{err: fmt.Errorf("sweep: archived unit %s has no report", run.ID)}
+	}
+	return seedOut{rep: run.Report, stopped: run.Stopped, records: run.Records, jain: run.JainWait}
+}
+
+// errNotCacheable marks a unit whose cell cannot be described by data
+// alone (custom Scheduler factory, StopWhen predicate, Series or Trace
+// sink factory); such units always run live and are never archived.
+var errNotCacheable = errors.New("sweep: cell holds live code; unit not cacheable")
+
+// unitSpec is the canonical, data-only description of one (cell, seed)
+// unit. Its JSON encoding (struct order, sorted map keys) is the
+// preimage of the unit's run-store ID, so two cells with identical
+// effective configuration share one archived record.
+type unitSpec struct {
+	Format     string                  `json:"format"`
+	Machine    dismem.MachineConfig    `json:"machine"`
+	Policy     string                  `json:"policy"`
+	Model      string                  `json:"model"`
+	Gen        workload.GenConfigState `json:"gen"`
+	StrictKill bool                    `json:"strictKill,omitempty"`
+	Failures   *sim.FailureConfig      `json:"failures,omitempty"`
+	Scenario   string                  `json:"scenario,omitempty"`
+	Bounded    bool                    `json:"bounded,omitempty"`
+	Jobs       int                     `json:"jobs"`
+	Seed       int                     `json:"seed"`
+}
+
+// unitSpecFormat versions the unit spec. Bump it when a change to the
+// simulator alters a unit's results without changing its spec, so
+// archived results from before the change are not served on resume.
+const unitSpecFormat = "dmsweep-unit/1"
+
+// unitSpecs returns every seed's canonical unit spec JSON, or nil when
+// the cell is not cacheable.
+func (c Cell) unitSpecs(o Options, mc dismem.MachineConfig) [][]byte {
+	specs := make([][]byte, o.Seeds)
+	for s := range specs {
+		b, err := c.unitSpecJSON(o, mc, s)
+		if err != nil {
+			return nil
+		}
+		specs[s] = b
+	}
+	return specs
+}
+
+// unitSpecJSON builds the canonical configuration JSON for seed s of
+// the cell — the identity preimage of its run-store record — or
+// errNotCacheable when the cell holds live code (Scheduler factory,
+// StopWhen predicate, Series or Trace sink factory) or a workload
+// distribution with no serializable state.
+func (c Cell) unitSpecJSON(o Options, mc dismem.MachineConfig, s int) ([]byte, error) {
+	if c.Scheduler != nil || c.StopWhen != nil || c.Series != nil || c.Trace != nil {
+		return nil, errNotCacheable
+	}
+	gen := dismem.GenConfig{}
+	if c.Gen != nil {
+		gen = *c.Gen
+	} else {
+		gen = defaultGen(o.Jobs, uint64(s+1), mc)
+	}
+	gen.Jobs = o.Jobs
+	gen.Seed = uint64(s + 1)
+	gs, err := workload.GenConfigToState(gen)
+	if err != nil {
+		return nil, fmt.Errorf("%w (%v)", errNotCacheable, err)
+	}
+	spec := unitSpec{
+		Format:     unitSpecFormat,
+		Machine:    mc,
+		Policy:     c.Policy,
+		Model:      c.Model,
+		Gen:        gs,
+		StrictKill: c.StrictKill,
+		Bounded:    c.Bounded,
+		Jobs:       o.Jobs,
+		Seed:       s,
+	}
+	if c.Failures != nil {
+		fc := *c.Failures
+		fc.Seed += uint64(s)
+		spec.Failures = &fc
+	}
+	if c.Scenario != nil {
+		spec.Scenario = c.Scenario.String()
+	}
+	b, err := json.Marshal(spec)
+	if err != nil {
+		return nil, fmt.Errorf("%w (%v)", errNotCacheable, err)
+	}
+	return b, nil
+}
+
+// cellLabel is the human-readable run-store annotation for a cell.
+func (c Cell) cellLabel(mc dismem.MachineConfig) string {
+	model := c.Model
+	if model == "" {
+		model = "linear:0.5"
+	}
+	return fmt.Sprintf("%s/%s r%dx%d", c.Policy, model, mc.Racks, mc.NodesPerRack)
 }
 
 // runUnit runs one (cell, seed) simulation with the per-unit panic
@@ -376,26 +488,6 @@ func (c Cell) runUnitOnce(o Options, mc dismem.MachineConfig, s int, runner *dis
 		out.jain = res.Recorder.Fairness().JainWait
 	}
 	return out
-}
-
-// seedOutFromUnit rehydrates a journaled unit result.
-func seedOutFromUnit(u *UnitResult, s int) seedOut {
-	out := seedOut{rep: u.Report, stopped: u.Stopped}
-	if s == 0 {
-		out.records = u.Records
-		out.jain = u.JainWait
-	}
-	return out
-}
-
-// unitFromSeedOut converts a live outcome to its journal form.
-func unitFromSeedOut(out seedOut) *UnitResult {
-	return &UnitResult{
-		Report:   out.rep,
-		Stopped:  out.stopped,
-		Records:  out.records,
-		JainWait: out.jain,
-	}
 }
 
 // seedOptions assembles one seed's simulation options: the cell's

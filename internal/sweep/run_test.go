@@ -1,7 +1,13 @@
 package sweep
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dismem"
 )
@@ -64,5 +70,134 @@ func TestCellSpecPolicy(t *testing.T) {
 	}
 	if agg.Jobs == 0 {
 		t.Fatal("no jobs ran under a spec-string policy")
+	}
+}
+
+// aggJSON flattens an Agg (including the per-seed reports and records)
+// to its JSON encoding, the byte-identity yardstick for resume and
+// worker-count invariance.
+func aggJSON(t *testing.T, a Agg) string {
+	t.Helper()
+	b, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// memawareFactory builds the registered memaware scheduler, as a
+// factory for live-code cells in tests.
+func memawareFactory() dismem.Scheduler {
+	s, err := dismem.NewScheduler("memaware")
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+func TestWorkerPoolMatchesSerial(t *testing.T) {
+	c := Cell{Policy: "memaware"}
+	serial, err := c.Run(Options{Jobs: 200, Seeds: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := c.Run(Options{Jobs: 200, Seeds: 3, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aggJSON(t, serial) != aggJSON(t, pooled) {
+		t.Fatal("4-worker aggregate differs from serial aggregate")
+	}
+}
+
+func TestWorkerPoolOverlapsUnits(t *testing.T) {
+	// Every unit blocks at its first sample until all n are inside the
+	// predicate simultaneously. A pool that actually runs units
+	// concurrently releases the barrier; a serial pool would deadlock
+	// on the first unit — guarded by the timeout below.
+	const n = 3
+	barrier := make(chan struct{})
+	var arrived atomic.Int32
+	c := Cell{Policy: "memaware", StopWhen: func(dismem.Sample) bool {
+		if arrived.Add(1) == n {
+			close(barrier)
+		}
+		<-barrier
+		return true
+	}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Run(Options{Jobs: 200, Seeds: n, Workers: n})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("worker pool did not overlap units: barrier never released")
+	}
+}
+
+func TestUnitPanicRetries(t *testing.T) {
+	var calls atomic.Int32
+	c := Cell{Scheduler: func() dismem.Scheduler {
+		if calls.Add(1) == 1 {
+			panic("transient unit failure")
+		}
+		return memawareFactory()
+	}}
+	if _, err := c.Run(Options{Jobs: 120, Seeds: 1, Workers: 1}); err != nil {
+		t.Fatalf("one retry did not absorb a single transient panic: %v", err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("unit ran %d times, want 2", got)
+	}
+}
+
+func TestUnitPanicExhaustsRetries(t *testing.T) {
+	c := Cell{Scheduler: func() dismem.Scheduler { panic("persistent unit failure") }}
+	_, err := c.Run(Options{Jobs: 120, Seeds: 1, Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "panic in simulation unit") {
+		t.Fatalf("persistent panic not surfaced as unit error: %v", err)
+	}
+}
+
+func TestCancelledContextInterrupts(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := (Cell{Policy: "memaware"}).Run(Options{Jobs: 150, Seeds: 2, Ctx: ctx})
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("cancelled sweep returned %v, want ErrInterrupted", err)
+	}
+}
+
+func TestMidRunCancellationDiscardsUnit(t *testing.T) {
+	// The predicate cancels the sweep's context at the first sample; the
+	// observer then stops the run at the next tick. The truncated result
+	// must be discarded as interrupted, never aggregated or journaled.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := Cell{
+		Policy:   "memaware",
+		StopWhen: func(dismem.Sample) bool { cancel(); return false },
+	}
+	_, err := c.Run(Options{Jobs: 400, Seeds: 1, Workers: 1, Ctx: ctx})
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("mid-run cancellation returned %v, want ErrInterrupted", err)
+	}
+}
+
+func TestRegistryRunReturnsInterrupted(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := Run("table2", Options{Jobs: 150, Seeds: 1, Ctx: ctx})
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("Run under cancelled ctx returned %v, want ErrInterrupted", err)
+	}
+	_, err = RunAll(Options{Jobs: 150, Seeds: 1, Ctx: ctx})
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("RunAll under cancelled ctx returned %v, want ErrInterrupted", err)
 	}
 }

@@ -77,11 +77,11 @@ func TestCellStoreIdempotentAcrossResume(t *testing.T) {
 }
 
 // TestCellSeriesUncacheable: a Series sink factory is live code — the
-// cell's units are neither journaled nor archived.
+// cell's units have no identity and are never archived.
 func TestCellSeriesUncacheable(t *testing.T) {
 	cell := Cell{Policy: "memaware", Series: func(int) metrics.SeriesSink { return dismem.DiscardSeries }}
-	if _, err := cell.unitKey(Options{}.withDefaults(), dismem.DefaultMachine(), 0); err == nil {
-		t.Fatal("unitKey cached a cell holding a live series sink")
+	if _, err := cell.unitSpecJSON(Options{}.withDefaults(), dismem.DefaultMachine(), 0); err == nil {
+		t.Fatal("unitSpecJSON described a cell holding a live series sink")
 	}
 	store, err := runstore.Open(t.TempDir())
 	if err != nil {

@@ -13,11 +13,11 @@ import (
 )
 
 // TestCellTraceUncacheable: a Trace sink factory is live code — the
-// cell's units are neither journaled nor archived.
+// cell's units have no identity and are never archived.
 func TestCellTraceUncacheable(t *testing.T) {
 	cell := Cell{Policy: "memaware", Trace: func(int) trace.TraceSink { return dismem.DiscardTrace }}
-	if _, err := cell.unitKey(Options{}.withDefaults(), dismem.DefaultMachine(), 0); err == nil {
-		t.Fatal("unitKey cached a cell holding a live trace sink")
+	if _, err := cell.unitSpecJSON(Options{}.withDefaults(), dismem.DefaultMachine(), 0); err == nil {
+		t.Fatal("unitSpecJSON described a cell holding a live trace sink")
 	}
 	store, err := runstore.Open(t.TempDir())
 	if err != nil {
