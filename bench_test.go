@@ -106,6 +106,11 @@ func BenchmarkMachineAllocRelease(b *testing.B) { benchkit.MachineAllocRelease(b
 // machine (the scheduler's inner loop).
 func BenchmarkMemAwarePlan(b *testing.B) { benchkit.MemAwarePlan(b) }
 
+// BenchmarkConservativePass measures one conservative-backfill planning
+// pass (memaware-cons) over a 170-job queue on the Table 2 stressed
+// machine, reporting ns/pass and allocs/pass (0 in steady state).
+func BenchmarkConservativePass(b *testing.B) { benchkit.ConservativePass(b) }
+
 // BenchmarkWorkloadGenerate measures synthetic trace generation.
 func BenchmarkWorkloadGenerate(b *testing.B) {
 	b.ReportAllocs()

@@ -15,7 +15,6 @@ import (
 // but never over-commits the machine, because dispatch re-validates.
 type Profile struct {
 	points []profilePoint
-	cands  []int64 // EarliestFit candidate-start scratch
 }
 
 type profilePoint struct {
@@ -70,18 +69,21 @@ func (p *Profile) AddRelease(t int64, nodes int, pool int64) {
 // Reserve decreases capacity by (nodes, pool) on [start, end). Capacity
 // may go negative when an exact placement used more than the planner's
 // minimal need; negative capacity simply blocks later reservations.
+//
+// The part of the window before the profile's origin is dropped, so a
+// window that ends at or before the origin is a no-op. Splitting at end
+// inserts after start's breakpoint, so start's index stays valid.
 func (p *Profile) Reserve(start, end int64, nodes int, pool int64) {
-	if end <= start {
-		return
-	}
 	if start < p.points[0].t {
 		start = p.points[0].t
+	}
+	if end <= start {
+		return
 	}
 	i := p.split(start)
 	j := len(p.points)
 	if end < math.MaxInt64 {
 		j = p.split(end)
-		i = sort.Search(len(p.points), func(k int) bool { return p.points[k].t >= start })
 	}
 	for ; i < j; i++ {
 		p.points[i].nodes -= nodes
@@ -100,56 +102,32 @@ func (p *Profile) CapacityAt(t int64) (nodes int, pool int64) {
 }
 
 // EarliestFit returns the earliest time >= from at which (nodes, pool)
-// stays available for dur seconds. dur must be > 0.
+// stays available for dur seconds, or math.MaxInt64 if it never does.
+// dur must be > 0.
+//
+// It is one forward pass over the breakpoints. The candidate start
+// begins at from; when an interval inside its window lacks capacity,
+// the candidate moves to the next breakpoint, since capacity only
+// changes there and every earlier start overlaps the short interval.
 func (p *Profile) EarliestFit(from, dur int64, nodes int, pool int64) int64 {
 	if dur <= 0 {
 		panic(fmt.Sprintf("sched: EarliestFit with dur=%d", dur))
 	}
-	if from < p.points[0].t {
-		from = p.points[0].t
+	pts := p.points
+	if from < pts[0].t {
+		from = pts[0].t
 	}
-	// Candidate starts: `from` and every later breakpoint (capacity
-	// only changes there). The list is profile-owned scratch.
-	cands := append(p.cands[:0], from)
-	for _, pt := range p.points {
-		if pt.t > from {
-			cands = append(cands, pt.t)
+	start := from
+	i := sort.Search(len(pts), func(i int) bool { return pts[i].t > from }) - 1
+	for ; i < len(pts) && pts[i].t < start+dur; i++ {
+		if pts[i].nodes < nodes || pts[i].pool < pool {
+			if i+1 == len(pts) {
+				// Capacity after the last breakpoint is constant; if
+				// the tail does not fit, nothing ever will.
+				return math.MaxInt64
+			}
+			start = pts[i+1].t
 		}
 	}
-	p.cands = cands
-	for _, start := range cands {
-		if p.windowFits(start, start+dur, nodes, pool) {
-			return start
-		}
-	}
-	// Capacity after the last breakpoint is constant; if the tail does
-	// not fit, nothing ever will (caller guarantees feasibility).
-	return math.MaxInt64
+	return start
 }
-
-// windowFits reports whether capacity >= (nodes, pool) throughout
-// [start, end).
-func (p *Profile) windowFits(start, end int64, nodes int, pool int64) bool {
-	i := sort.Search(len(p.points), func(i int) bool { return p.points[i].t > start })
-	if i > 0 {
-		i--
-	}
-	for ; i < len(p.points); i++ {
-		pt := p.points[i]
-		if pt.t >= end {
-			break
-		}
-		// Interval [pt.t, next.t) overlaps [start, end)?
-		if i+1 < len(p.points) && p.points[i+1].t <= start {
-			continue
-		}
-		if pt.nodes < nodes || pt.pool < pool {
-			return false
-		}
-	}
-	return true
-}
-
-// Len returns the number of breakpoints (for tests and complexity
-// accounting).
-func (p *Profile) Len() int { return len(p.points) }

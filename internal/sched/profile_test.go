@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -45,6 +46,31 @@ func TestProfileReserveWindow(t *testing.T) {
 	}
 	if n, pool := p.CapacityAt(40); n != 10 || pool != 1000 {
 		t.Fatalf("after window: (%d,%d), want (10,1000)", n, pool)
+	}
+}
+
+// TestProfileReserveBeforeOrigin: the part of a window before the
+// profile's origin is dropped, so a window that ends at or before the
+// origin is a no-op and one that straddles it starts at the origin.
+func TestProfileReserveBeforeOrigin(t *testing.T) {
+	p := NewProfile(40, 8, 1000)
+	p.Reserve(10, 20, 3, 500) // entirely before the origin
+	p.Reserve(10, 40, 3, 500) // ends exactly at the origin
+	if len(p.points) != 1 {
+		t.Fatalf("windows before the origin added breakpoints: %+v", p.points)
+	}
+	if n, pool := p.CapacityAt(40); n != 8 || pool != 1000 {
+		t.Fatalf("capacity after no-op reservations = (%d,%d), want (8,1000)", n, pool)
+	}
+	p.Reserve(30, 60, 3, 500) // straddles the origin
+	if n, pool := p.CapacityAt(40); n != 5 || pool != 500 {
+		t.Fatalf("capacity at origin = (%d,%d), want (5,500)", n, pool)
+	}
+	if n, pool := p.CapacityAt(59); n != 5 || pool != 500 {
+		t.Fatalf("capacity at window end = (%d,%d), want (5,500)", n, pool)
+	}
+	if n, pool := p.CapacityAt(60); n != 8 || pool != 1000 {
+		t.Fatalf("capacity after window = (%d,%d), want (8,1000)", n, pool)
 	}
 }
 
@@ -169,4 +195,139 @@ func sampleTimes(p *Profile, start, end int64) []int64 {
 		}
 	}
 	return ts
+}
+
+// earliestFitRef is the candidate x window scan that EarliestFit's
+// one-pass form replaced, kept as its differential oracle: try from and
+// every later breakpoint as a start, and return the first start whose
+// whole window fits.
+func earliestFitRef(p *Profile, from, dur int64, nodes int, pool int64) int64 {
+	if from < p.points[0].t {
+		from = p.points[0].t
+	}
+	// Candidate starts: `from` and every later breakpoint (capacity
+	// only changes there).
+	cands := []int64{from}
+	for _, pt := range p.points {
+		if pt.t > from {
+			cands = append(cands, pt.t)
+		}
+	}
+	for _, start := range cands {
+		if windowFitsRef(p, start, start+dur, nodes, pool) {
+			return start
+		}
+	}
+	// Capacity after the last breakpoint is constant; if the tail does
+	// not fit, nothing ever will (caller guarantees feasibility).
+	return math.MaxInt64
+}
+
+// windowFitsRef reports whether capacity >= (nodes, pool) throughout
+// [start, end).
+func windowFitsRef(p *Profile, start, end int64, nodes int, pool int64) bool {
+	i := sort.Search(len(p.points), func(i int) bool { return p.points[i].t > start })
+	if i > 0 {
+		i--
+	}
+	for ; i < len(p.points); i++ {
+		pt := p.points[i]
+		if pt.t >= end {
+			break
+		}
+		// Interval [pt.t, next.t) overlaps [start, end)?
+		if i+1 < len(p.points) && p.points[i+1].t <= start {
+			continue
+		}
+		if pt.nodes < nodes || pt.pool < pool {
+			return false
+		}
+	}
+	return true
+}
+
+// TestProfileEarliestFitMatchesReference requires EarliestFit to return
+// exactly the reference scan's start on random profiles. A valid but
+// later start passes TestProfileFitNeverViolatesCapacity, yet it delays
+// reservations and changes every conservative-backfill result. The
+// generator covers open-ended reservations, releases on both sides of
+// the origin, over-reservation into negative capacity, queries from
+// before the origin, and needs of zero and beyond total capacity; the
+// coverage counts below fail the test if any case stops occurring.
+func TestProfileEarliestFitMatchesReference(t *testing.T) {
+	const profiles = 10000
+	rng := stats.NewRNG(13)
+	var seen struct {
+		openEnd, releaseBefore, negative, fromBefore, zeroNeed, overNeed, never, later int
+	}
+	for n := 0; n < profiles; n++ {
+		origin := rng.Int63n(1000)
+		nodes, pool := 1+rng.Intn(32), rng.Int63n(4096)
+		p := NewProfile(origin, nodes, pool)
+		// Totals over the profile's lifetime, for the over-capacity needs.
+		maxNodes, maxPool := nodes, pool
+		for i := rng.Intn(10); i > 0; i-- {
+			at := origin - 100 + rng.Int63n(600)
+			if at < origin {
+				seen.releaseBefore++
+			}
+			dn, dp := rng.Intn(16), rng.Int63n(2048)
+			p.AddRelease(at, dn, dp)
+			maxNodes, maxPool = maxNodes+dn, maxPool+dp
+		}
+		for i := rng.Intn(16); i > 0; i-- {
+			start := origin - 50 + rng.Int63n(500)
+			end := start + 1 + rng.Int63n(300)
+			if rng.Intn(6) == 0 {
+				end = math.MaxInt64
+				seen.openEnd++
+			}
+			// Up to twice the initial capacity: over-reservation
+			// drives capacity negative.
+			p.Reserve(start, end, rng.Intn(2*nodes+1), rng.Int63n(2*pool+1))
+		}
+		for _, pt := range p.points {
+			if pt.nodes < 0 || pt.pool < 0 {
+				seen.negative++
+				break
+			}
+		}
+		for q := 0; q < 8; q++ {
+			from := origin - 100 + rng.Int63n(800)
+			if from < origin {
+				seen.fromBefore++
+			}
+			dur := 1 + rng.Int63n(400)
+			need, needPool := rng.Intn(maxNodes+3), rng.Int63n(maxPool+512)
+			switch {
+			case need == 0 || needPool == 0:
+				seen.zeroNeed++
+			case need > maxNodes || needPool > maxPool:
+				seen.overNeed++
+			}
+			got := p.EarliestFit(from, dur, need, needPool)
+			want := earliestFitRef(p, from, dur, need, needPool)
+			if got != want {
+				t.Fatalf("profile %d query %d: EarliestFit(from=%d, dur=%d, need=(%d,%d)) = %d, reference %d\npoints: %+v",
+					n, q, from, dur, need, needPool, got, want, p.points)
+			}
+			switch {
+			case want == math.MaxInt64:
+				seen.never++
+			case want > from && want > origin:
+				seen.later++
+			}
+		}
+	}
+	t.Logf("coverage: %+v", seen)
+	for name, c := range map[string]int{
+		"open-ended reservations": seen.openEnd, "releases before the origin": seen.releaseBefore,
+		"negative capacity": seen.negative, "from before the origin": seen.fromBefore,
+		"zero needs": seen.zeroNeed, "needs beyond total capacity": seen.overNeed,
+		"never-fitting queries": seen.never, "delayed starts": seen.later,
+	} {
+		if c == 0 {
+			t.Errorf("generator never produced %s", name)
+		}
+	}
 }

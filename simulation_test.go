@@ -1,6 +1,8 @@
 package dismem_test
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -56,7 +58,10 @@ func TestLegacyNamesRoundTripThroughSpecs(t *testing.T) {
 // TestHeadlineTablesDeterministicThroughParser regenerates the paper's
 // headline and ablation tables (which exercise the legacy names through
 // the parser-backed registry) twice at reduced scale: any
-// nondeterminism or name/spec mismatch shows up as an output diff.
+// nondeterminism or name/spec mismatch shows up as an output diff. Each
+// render must also equal its golden in testdata/ (<id>_200x1.csv), so a
+// change that moves any scheduling decision, such as a conservative
+// planner returning a later-but-valid start, fails here too.
 func TestHeadlineTablesDeterministicThroughParser(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell sweep in -short mode")
@@ -74,8 +79,16 @@ func TestHeadlineTablesDeterministicThroughParser(t *testing.T) {
 			}
 			return out
 		}
-		if a, b := render(), render(); a != b {
+		a, b := render(), render()
+		if a != b {
 			t.Errorf("%s output not reproducible through the spec parser:\n--- first\n%s--- second\n%s", id, a, b)
+		}
+		golden, err := os.ReadFile(filepath.Join("testdata", id+"_200x1.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != string(golden) {
+			t.Errorf("%s output differs from its golden:\n--- golden\n%s--- got\n%s", id, golden, a)
 		}
 	}
 }
