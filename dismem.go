@@ -367,6 +367,9 @@ type Options struct {
 	// 1024 jobs, P² beyond) — counts, means,
 	// utilizations and fairness stay exact. Result.Recorder then
 	// retains no records. Nil keeps the default retain-all recorder.
+	// The run owns each sink from the call that receives the Options:
+	// it is closed exactly once, when the run ends or when New (or
+	// Simulate, or a Runner) rejects the Options.
 	RecordSink Sink
 	// StrictKill disables the dilation-extended walltime limit: jobs
 	// are killed at the raw user estimate even when the system itself
@@ -393,16 +396,14 @@ type Options struct {
 	SampleEvery int64
 	// SeriesSink streams one utilization SeriesPoint per sampling tick:
 	// the time-series analogue of RecordSink. Requires SampleEvery > 0
-	// to produce anything. The engine closes the sink at the end of the
-	// run.
+	// to produce anything. Closed like RecordSink, also on rejection.
 	SeriesSink SeriesSink
 	// TraceSink streams per-job lifecycle trace events in deterministic
 	// firing order: submit, dispatch with placement detail (racks,
 	// pools, local/remote split), terminate/kill with reason, failure
-	// restarts and scenario interventions. Nil is zero-cost; the engine
-	// closes the sink exactly once on every terminal path of the run.
-	// Unlike SeriesSink, tracing is event-driven and needs no
-	// SampleEvery.
+	// restarts and scenario interventions. Nil is zero-cost. Closed
+	// like RecordSink, also on rejection. Unlike SeriesSink, tracing
+	// is event-driven and needs no SampleEvery.
 	TraceSink TraceSink
 }
 

@@ -73,7 +73,10 @@ func (s *Simulation) Checkpoint() (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dismem: %w", err)
 	}
-	return &Checkpoint{cp: cp, opts: s.opts}, nil
+	// Record how the run was built, not its live outputs.
+	opts := s.opts
+	opts.Observer, opts.RecordSink, opts.SeriesSink, opts.TraceSink = nil, nil, nil, nil
+	return &Checkpoint{cp: cp, opts: opts}, nil
 }
 
 // ForkOptions adjusts a forked future relative to the checkpointed
@@ -126,22 +129,27 @@ type ForkOptions struct {
 	// period and phase; a different period restarts the chain at the
 	// fork instant).
 	SampleEvery int64
-	// RecordSink receives the fork's per-job records. When nil and the
-	// original run recorded boundedly, the fork uses DiscardRecords
-	// (prefix records already streamed to the parent's sink and cannot
-	// be re-emitted).
+	// RecordSink receives the fork's per-job records. A fork keeps
+	// the original run's recording mode: when the original recorded
+	// boundedly, the fork's Report is bounded too, and its sink (if
+	// any) receives only the future's records, since the prefix's went
+	// to the parent's sink. Like Options.RecordSink, each fork sink is
+	// closed exactly once: when the fork ends, or when Fork rejects
+	// the options.
 	RecordSink Sink
 	// SeriesSink receives the fork's utilization series (nil = none;
 	// parent sinks are never carried over). For a resumed run this
 	// yields exactly the suffix of the clean run's series:
 	// concatenating the parent's JSONL series with the fork's
-	// reproduces an uninterrupted run's file byte for byte.
+	// reproduces an uninterrupted run's file byte for byte. Closed
+	// like RecordSink, also on rejection.
 	SeriesSink SeriesSink
 	// TraceSink receives the fork's lifecycle trace events (nil = none;
 	// parent sinks are never carried over). Like the series, a resumed
 	// run's JSONL trace is exactly the suffix of the clean run's:
 	// concatenating the parent's trace with the fork's reproduces an
-	// uninterrupted run's file byte for byte.
+	// uninterrupted run's file byte for byte. Closed like RecordSink,
+	// also on rejection.
 	TraceSink TraceSink
 }
 
@@ -162,7 +170,20 @@ type ForkOptions struct {
 // share scheduler internals. An original built with
 // Options.SchedulerImpl shares that instance across its forks — drive
 // such forks sequentially or provide per-fork schedulers.
+//
+// The fork's outputs belong to it from this call on: a rejected fork
+// closes them before returning its error.
 func Fork(cp *Checkpoint, o ForkOptions) (*Simulation, error) {
+	outs := sim.Outputs{Observer: o.Observer, RecordSink: o.RecordSink, SeriesSink: o.SeriesSink, TraceSink: o.TraceSink}
+	s, err := fork(cp, o, outs)
+	if err != nil {
+		_ = outs.Close()
+	}
+	return s, err
+}
+
+// fork is Fork without the close on rejection.
+func fork(cp *Checkpoint, o ForkOptions, outs sim.Outputs) (*Simulation, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("dismem: fork of a nil checkpoint")
 	}
@@ -190,11 +211,8 @@ func Fork(cp *Checkpoint, o ForkOptions) (*Simulation, error) {
 		Scenario:       o.Scenario,
 		ReseedFailures: o.ReseedFailures,
 		FailureSeed:    o.FailureSeed,
-		Observer:       o.Observer,
 		SampleEvery:    o.SampleEvery,
-		RecordSink:     o.RecordSink,
-		SeriesSink:     o.SeriesSink,
-		TraceSink:      o.TraceSink,
+		Outputs:        outs,
 	}
 	switch {
 	case o.SchedulerImpl != nil:
@@ -229,12 +247,6 @@ func Fork(cp *Checkpoint, o ForkOptions) (*Simulation, error) {
 	if o.Scenario != nil {
 		opts.Scenario = o.Scenario
 	}
-	if o.RecordSink != nil {
-		opts.RecordSink = o.RecordSink
-	}
-	opts.Observer = o.Observer
-	opts.SeriesSink = o.SeriesSink
-	opts.TraceSink = o.TraceSink
 	// SampleEvery 0 keeps the checkpointed period, so the recorded
 	// options keep it too: a re-checkpointed fork must persist the
 	// period its live tick chain actually runs at, or resuming that

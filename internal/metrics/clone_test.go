@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"errors"
 	"testing"
 
 	"dismem/internal/cluster"
@@ -104,36 +103,5 @@ func TestRecorderCloneBothModes(t *testing.T) {
 				t.Fatalf("bounded=%v: record slices still coupled", bounded)
 			}
 		}
-	}
-}
-
-// errorSink fails on Close, to pin error latching.
-type errorSink struct{ closes int }
-
-func (s *errorSink) Add(JobRecord) {}
-func (s *errorSink) Close() error {
-	s.closes++
-	return errors.New("disk full")
-}
-
-// TestCloseSinkIdempotent pins the satellite bugfix: CloseSink closes
-// the sink exactly once, and every later call reports the same result
-// without re-closing.
-func TestCloseSinkIdempotent(t *testing.T) {
-	rec := NewBoundedRecorder()
-	s := &errorSink{}
-	rec.SetSink(s)
-	err1 := rec.CloseSink()
-	err2 := rec.CloseSink()
-	if s.closes != 1 {
-		t.Fatalf("sink closed %d times, want 1", s.closes)
-	}
-	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
-		t.Fatalf("close errors %v / %v, want the same latched error", err1, err2)
-	}
-	// A clone must not inherit the closed sink (or its latched error).
-	c := rec.Clone()
-	if err := c.CloseSink(); err != nil {
-		t.Fatalf("clone CloseSink: %v, want nil (no sink)", err)
 	}
 }

@@ -75,8 +75,7 @@ func (r *JobRecord) BoundedSlowdown() float64 {
 // custom reductions, O(jobs) memory) or NewBoundedRecorder (streaming:
 // records are reduced online — exact counts/means, hybrid percentile
 // estimates — and Records returns nil; memory is O(users), independent
-// of job count). Feed Observe before every machine state change; an
-// optional Sink additionally receives every record as it is added.
+// of job count). Feed Observe before every machine state change.
 //
 // Memory bounds (DESIGN.md §7): the usage integrals and makespan
 // tracking are O(1) in both modes — Observe never retains samples, it
@@ -86,15 +85,7 @@ type Recorder struct {
 	retain  bool
 	records []JobRecord
 	agg     *Aggregate // bounded-mode online reduction (nil when retaining)
-	sink    Sink       // optional streaming consumer of every record
 	byUser  map[int]*userAcc
-
-	// sinkClosed latches the first CloseSink so every engine exit path
-	// (Finish, Stop+Finish, start and source errors) can close
-	// unconditionally without double-flushing, and later calls report
-	// the same outcome.
-	sinkClosed bool
-	closeErr   error
 
 	lastT     int64
 	haveT     bool
@@ -113,8 +104,8 @@ func NewRecorder() *Recorder {
 }
 
 // NewBoundedRecorder returns a recorder whose memory is independent of
-// job count: per-job records feed online aggregates (and the sink, when
-// set) instead of being retained. Report is exact except for the four
+// job count: per-job records feed online aggregates instead of being
+// retained. Report is exact except for the four
 // percentile fields, which come from hybrid estimators — exact up to
 // stats.ExactQuantileBuffer observations, P² estimates beyond.
 func NewBoundedRecorder() *Recorder {
@@ -125,34 +116,10 @@ func NewBoundedRecorder() *Recorder {
 // mode.
 func (rec *Recorder) Bounded() bool { return !rec.retain }
 
-// SetSink streams every subsequent record to s as well. The caller (or
-// the engine, at Finish) is responsible for Close.
-func (rec *Recorder) SetSink(s Sink) {
-	rec.sink = s
-	rec.sinkClosed = false
-	rec.closeErr = nil
-}
-
-// CloseSink closes the attached sink, if any, flushing buffered output.
-// It is idempotent: the first call closes, later calls return the same
-// error (or nil) without re-flushing.
-func (rec *Recorder) CloseSink() error {
-	if rec.sink == nil {
-		return nil
-	}
-	if !rec.sinkClosed {
-		rec.sinkClosed = true
-		rec.closeErr = rec.sink.Close()
-	}
-	return rec.closeErr
-}
-
 // Clone returns an independent deep copy of the recorder's state —
 // retained records, online aggregates, per-user fairness tallies and
-// usage integrals — for simulation checkpointing. The sink is NOT
-// carried over: a sink is a live external writer that cannot be
-// duplicated, so the clone starts sinkless and the forked run attaches
-// its own (or metrics.Discard).
+// usage integrals — for simulation checkpointing. A clone keeps its
+// original's mode, so a bounded run's forks stay bounded.
 func (rec *Recorder) Clone() *Recorder {
 	c := &Recorder{
 		retain:      rec.retain,
@@ -206,12 +173,9 @@ func (rec *Recorder) OnSubmit(now int64) {
 }
 
 // Add records a finished (or rejected) job: retained or reduced online
-// per the recorder's mode, streamed to the sink when one is attached,
-// and tallied into the per-user fairness accumulators either way.
+// per the recorder's mode, and tallied into the per-user fairness
+// accumulators either way.
 func (rec *Recorder) Add(r JobRecord) {
-	if rec.sink != nil {
-		rec.sink.Add(r)
-	}
 	if rec.retain {
 		rec.records = append(rec.records, r)
 	} else {

@@ -11,7 +11,6 @@ import (
 	"dismem/internal/sched"
 	"dismem/internal/source"
 	"dismem/internal/stats"
-	"dismem/internal/trace"
 	"dismem/internal/workload"
 )
 
@@ -29,8 +28,7 @@ import (
 // Resume deep-copies everything it hands to the new engine, and the
 // checkpointed source cursor is forked, never advanced.
 type Checkpoint struct {
-	cfg     Config // Observer, RecordSink, SeriesSink and TraceSink cleared (live callbacks/writers)
-	bounded bool   // recorder was in bounded (non-retaining) mode
+	cfg Config // Outputs cleared: they are live callbacks and writers
 
 	now    int64
 	fired  uint64
@@ -84,11 +82,11 @@ func (cp *Checkpoint) Now() int64 { return cp.now }
 // its future is unaffected by any forks taken from the checkpoint.
 //
 // The pending periodic sampling tick IS captured (it is an ordinary
-// tagged event; only the consumers — observer, series sink, trace
-// sink — are live and cleared). A future resumed with its own Observer or
-// SeriesSink therefore continues the checkpointed tick chain in phase:
-// its sample instants, and their order relative to same-instant
-// events, are identical to the uninterrupted run's (DESIGN.md §11).
+// tagged event; only the Outputs are live and cleared). A future
+// resumed with its own Observer or SeriesSink therefore continues the
+// checkpointed tick chain in phase: its sample instants, and their
+// order relative to same-instant events, are identical to the
+// uninterrupted run's (DESIGN.md §11).
 func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	if !e.started {
 		return nil, fmt.Errorf("sim: checkpoint of an unstarted engine")
@@ -116,7 +114,6 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 
 	cp := &Checkpoint{
 		cfg:          e.cfg,
-		bounded:      e.rec.Bounded(),
 		now:          int64(e.sim.Now()),
 		fired:        e.sim.Fired(),
 		events:       events,
@@ -139,10 +136,7 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		scenApplied:  e.scenApplied,
 		scenarioDown: make(map[cluster.NodeID]bool, len(e.scenarioDown)),
 	}
-	cp.cfg.Observer = nil
-	cp.cfg.RecordSink = nil
-	cp.cfg.SeriesSink = nil
-	cp.cfg.TraceSink = nil
+	cp.cfg.Outputs = Outputs{}
 	if e.failRNG != nil {
 		cp.failRNG = e.failRNG.Clone()
 	}
@@ -188,36 +182,15 @@ type Overrides struct {
 	// been configured.
 	ReseedFailures bool
 	FailureSeed    uint64
-	// Observer receives the future's lifecycle callbacks. When the
-	// checkpointed run was sampling, the restored tick chain continues
-	// in phase — the future's sample instants are identical to the
-	// uninterrupted run's. A checkpoint taken without sampling starts a
-	// fresh chain at the resume instant when the future enables it.
-	Observer Observer
 	// SampleEvery overrides the sampling period in simulated seconds
-	// (0 keeps the checkpointed period). A period different from the
-	// checkpointed one discards the restored tick and restarts the
-	// chain from the resume instant at the new period.
+	// (0 keeps the checkpointed period). When the checkpointed run was
+	// sampling, the restored tick chain continues in phase: the
+	// future's sample instants are identical to the uninterrupted
+	// run's. A checkpoint taken without sampling, or a different
+	// period, starts a fresh chain at the resume instant.
 	SampleEvery int64
-	// RecordSink attaches a record sink for the future's records. When
-	// nil and the checkpointed run recorded boundedly, the future uses
-	// metrics.Discard: records the prefix already streamed to the
-	// parent's sink are never re-emitted, and a bounded run cannot
-	// reconstruct them.
-	RecordSink metrics.Sink
-	// SeriesSink streams the future's utilization series (nil = none;
-	// parent sinks are never carried over). A resumed run's series is
-	// the uninterrupted run's series minus the rows already streamed to
-	// the parent's sink: concatenating the two files reproduces the
-	// clean run's series byte for byte (JSONL; a CSV resume re-emits
-	// the header).
-	SeriesSink metrics.SeriesSink
-	// TraceSink streams the future's lifecycle trace events (nil =
-	// none; parent sinks are never carried over). Like the series, a
-	// resumed run's JSONL trace is the clean run's trace minus the
-	// events already streamed to the parent's sink: concatenating the
-	// two files reproduces the clean run's trace byte for byte.
-	TraceSink trace.TraceSink
+	// Outputs are the future's own; the parent's never carry over.
+	Outputs
 }
 
 // Resume builds a fresh engine from a checkpoint, applying the
@@ -242,9 +215,7 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 	if o.ReseedFailures && cfg.Failures == nil {
 		return nil, fmt.Errorf("sim: cannot reseed failures: checkpointed run has no failure injection")
 	}
-	cfg.Observer = o.Observer
-	cfg.SeriesSink = o.SeriesSink
-	cfg.TraceSink = o.TraceSink
+	cfg.Outputs = o.Outputs
 	// A changed sampling period cannot continue the checkpointed tick
 	// chain: the restored tick (scheduled one old period after the last
 	// fire) is dropped and a fresh chain starts at the resume instant.
@@ -253,23 +224,10 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 		cfg.SampleEvery = o.SampleEvery
 	}
 
-	rec := cp.rec.Clone()
-	sink := o.RecordSink
-	if sink == nil && cp.bounded {
-		sink = metrics.Discard
-	}
-	if sink != nil {
-		rec.SetSink(sink)
-	}
-	cfg.RecordSink = sink
-
 	e := &Engine{
 		cfg:          cfg,
 		m:            cp.machine.Clone(),
-		rec:          rec,
-		obs:          cfg.Observer,
-		series:       cfg.SeriesSink,
-		trace:        cfg.TraceSink,
+		rec:          cp.rec.Clone(),
 		started:      true,
 		srcDone:      cp.srcDone,
 		srcErr:       cp.srcErr,
@@ -288,6 +246,7 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 		scenApplied:  cp.scenApplied,
 		scenarioDown: make(map[cluster.NodeID]bool, len(cp.scenarioDown)),
 	}
+	e.attach()
 	e.bindHandlers()
 	if cfg.Scenario != nil {
 		// scenEvs is indexed by intervention index (the evScenario
@@ -403,7 +362,7 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 		}
 	}
 
-	if e.outstanding() {
+	if e.Outstanding() {
 		// Post-restore arming, in a fixed order for determinism: the
 		// replacement scenario's future events, a reseeded failure
 		// stream, then fresh sampling ticks.

@@ -21,7 +21,6 @@ import (
 	"dismem/internal/sched"
 	"dismem/internal/source"
 	"dismem/internal/stats"
-	"dismem/internal/trace"
 	"dismem/internal/workload"
 )
 
@@ -49,32 +48,12 @@ type Config struct {
 	// empty scenario both leave the run bit-identical to a
 	// scenario-free one.
 	Scenario *scenario.Scenario
-	// Observer optionally receives lifecycle callbacks (nil = none).
-	// Callbacks must be read-only w.r.t. engine state; see Observer.
-	Observer Observer
 	// SampleEvery is the period, in simulated seconds, of periodic
-	// sampling ticks (0 = no sampling). Each tick delivers
-	// Observer.OnSample and streams a metrics.SeriesPoint to
-	// SeriesSink; ignored when neither consumer is configured.
+	// sampling ticks (0 = no sampling). Each tick delivers one Sample
+	// to Observer.OnSample and as a row to SeriesSink; ignored when
+	// neither consumer is attached.
 	SampleEvery int64
-	// RecordSink switches metrics to bounded recording: per-job records
-	// stream to the sink (metrics.Discard to drop them) instead of
-	// being retained, and the Report's percentile fields become
-	// streaming estimates (exact up to stats.ExactQuantileBuffer
-	// observations, P² beyond) — everything else stays exact. Nil (the default) keeps
-	// the retain-all Recorder. The engine closes the sink at Finish.
-	RecordSink metrics.Sink
-	// SeriesSink streams one utilization SeriesPoint per sampling tick
-	// (see SampleEvery): the time-series analogue of RecordSink. The
-	// engine closes it exactly once, on every terminal path of the run.
-	SeriesSink metrics.SeriesSink
-	// TraceSink streams per-job lifecycle trace events — submit,
-	// dispatch with placement detail, terminate/kill with reason,
-	// failure restarts, scenario interventions — emitted synchronously
-	// from the engine's handlers in deterministic firing order (see
-	// package trace). Nil is zero-cost. Like SeriesSink, the engine
-	// closes it exactly once, on every terminal path of the run.
-	TraceSink trace.TraceSink
+	Outputs
 }
 
 // FailureConfig models node failures as a Poisson process per node with
@@ -177,7 +156,12 @@ type Engine struct {
 	sim *des.Simulator
 	m   *cluster.Machine
 	rec *metrics.Recorder
-	obs Observer
+	// outs is the ordered output list attach builds from cfg.Outputs
+	// (empty without outputs); closed and closeErr are its one close
+	// latch (see close).
+	outs     []output
+	closed   bool
+	closeErr error
 
 	started  bool
 	finished bool
@@ -226,19 +210,6 @@ type Engine struct {
 	scenarioDown map[cluster.NodeID]bool
 
 	sampleEv *des.Event
-
-	// Series export state: the configured sink, its one-shot close
-	// latch, and the close error (surfaced at Finish like the record
-	// sink's).
-	series       metrics.SeriesSink
-	seriesClosed bool
-	seriesErr    error
-
-	// Trace export state, with the same close discipline as the series
-	// sink's.
-	trace       trace.TraceSink
-	traceClosed bool
-	traceErr    error
 
 	// Per-family event handlers, bound once at construction. Events
 	// carry their payload through des.Event.Data, so scheduling an event
@@ -324,16 +295,12 @@ func newEngine(cfg Config, prev *Engine) (*Engine, error) {
 	rec := metrics.NewRecorder()
 	if cfg.RecordSink != nil {
 		rec = metrics.NewBoundedRecorder()
-		rec.SetSink(cfg.RecordSink)
 	}
 	e := &Engine{
 		cfg:          cfg,
 		sim:          des.New(),
 		m:            m,
 		rec:          rec,
-		obs:          cfg.Observer,
-		series:       cfg.SeriesSink,
-		trace:        cfg.TraceSink,
 		running:      make(map[int]*runningState),
 		reDilate:     memmodel.ContentionSensitive(cfg.Model),
 		restarts:     make(map[int]int),
@@ -363,6 +330,7 @@ func newEngine(cfg Config, prev *Engine) (*Engine, error) {
 		e.rsPool = prev.rsPool
 		prev.rsPool = nil
 	}
+	e.attach()
 	e.bindHandlers()
 	return e, nil
 }
@@ -390,13 +358,7 @@ func (e *Engine) Start(w *workload.Workload) error {
 		w = workload.ModulateArrivals(w, e.cfg.Scenario.Rate)
 	}
 	if err := w.Validate(); err != nil {
-		// A failed start is a terminal path for this engine: close the
-		// configured sinks now (idempotent) so their buffers are never
-		// left unflushed behind an error return.
-		_ = e.rec.CloseSink()
-		_ = e.closeSeries()
-		_ = e.closeTrace()
-		return err
+		return e.fail(err)
 	}
 	return e.startSource(source.FromWorkload(w))
 }
@@ -411,10 +373,7 @@ func (e *Engine) Start(w *workload.Workload) error {
 // source.Modulate. It may be called once per engine, instead of Start.
 func (e *Engine) StartSource(src source.Source) error {
 	if src == nil {
-		_ = e.rec.CloseSink()
-		_ = e.closeSeries()
-		_ = e.closeTrace()
-		return fmt.Errorf("sim: nil source")
+		return e.fail(fmt.Errorf("sim: nil source"))
 	}
 	if e.cfg.Scenario.Modulates() {
 		src = source.Modulate(src, e.cfg.Scenario.Rate)
@@ -435,12 +394,7 @@ func (e *Engine) startSource(src source.Source) error {
 	e.scheduleNextArrival()
 	hasWork := !e.srcDone
 	if e.srcErr != nil {
-		// The engine will never reach Finish; close (and flush) the
-		// sinks on this terminal path too.
-		_ = e.rec.CloseSink()
-		_ = e.closeSeries()
-		_ = e.closeTrace()
-		return e.srcErr
+		return e.fail(e.srcErr)
 	}
 	if e.cfg.Failures != nil && hasWork {
 		e.failRNG = stats.NewRNG(e.cfg.Failures.Seed)
@@ -461,7 +415,7 @@ func (e *Engine) startSource(src source.Source) error {
 
 // onScenarioEvent fires intervention i of the configured scenario. Its
 // scenEvs slot — indexed by the intervention's payload, not by arrival
-// order — is cleared before applying, so jobDone's pending-intervention
+// order — is cleared before applying, so record's pending-intervention
 // sweep can never Cancel a handle whose event already fired (and whose
 // struct may since have been recycled for a live event).
 func (e *Engine) onScenarioEvent(now des.Time, data any) {
@@ -502,13 +456,13 @@ func (e *Engine) onArrivalEvent(now des.Time, data any) {
 	e.onArrival(int64(now), job)
 }
 
-// outstanding reports whether any work remains: an arrived job not yet
+// Outstanding reports whether any work remains: an arrived job not yet
 // terminated, or arrivals the source has still to deliver.
-func (e *Engine) outstanding() bool { return e.jobsLeft > 0 || !e.srcDone }
+func (e *Engine) Outstanding() bool { return e.jobsLeft > 0 || !e.srcDone }
 
-// Step fires the single earliest event. It returns false once the
-// simulation is done (event queue drained or Stop called).
-func (e *Engine) Step() bool { return e.sim.Step() }
+// Step fires the single earliest event. It returns false, firing
+// nothing, once the simulation is Done.
+func (e *Engine) Step() bool { return !e.Done() && e.sim.Step() }
 
 // RunUntil fires every event scheduled at or before virtual time t and
 // leaves the clock at exactly t, even when the simulation's last event
@@ -517,8 +471,11 @@ func (e *Engine) Step() bool { return e.sim.Step() }
 // stopping event.
 func (e *Engine) RunUntil(t int64) { e.sim.Run(des.Time(t)) }
 
-// RunAll fires events until the queue drains or Stop is called.
-func (e *Engine) RunAll() { e.sim.RunAll() }
+// RunAll fires events until the simulation is Done.
+func (e *Engine) RunAll() {
+	for e.Step() {
+	}
+}
 
 // Stop halts the event loop after the current event: a deliberate early
 // exit, not an error. Finish then reports the simulated prefix with
@@ -536,17 +493,25 @@ func (e *Engine) Stop() {
 func (e *Engine) Now() int64 { return int64(e.sim.Now()) }
 
 // Done reports whether the simulation will make no more progress: Stop
-// was called, or the event queue is drained AND the engine's own
-// outstanding-work accounting agrees — no arrived job unterminated and
-// no arrivals left in the source. The second condition is not
-// redundant: the queue alone is the DES view, while srcDone/jobsLeft
-// are the streaming-source view, and Done must never report true while
-// a source still has arrivals to deliver (an empty queue with
-// outstanding work indicates a wiring bug — for example a restored
-// checkpoint that lost its pending-arrival event — which Finish then
-// reports instead of silently truncating the run).
-func (e *Engine) Done() bool {
-	return e.sim.Stopped() || (e.sim.Pending() == 0 && !e.outstanding())
+// was called, or the run is idle — the source has delivered every
+// arrival and no event but the sampling tick is pending. An idle run
+// that still has queued jobs is stuck (nothing left can start them), so
+// it is done too, sampled or not: drive loops end, and Finish reports
+// the jobs that never terminated. Undelivered source arrivals keep Done
+// false even when the event queue is empty: that state is a wiring bug
+// (for example a restored checkpoint that lost its pending-arrival
+// event), which Finish reports instead of silently truncating the run.
+func (e *Engine) Done() bool { return e.sim.Stopped() || e.idle() }
+
+// idle reports whether the source is exhausted and no event but the
+// sampling tick is pending. The tick re-arms itself while jobs are
+// outstanding, so on its own it never makes progress.
+func (e *Engine) idle() bool {
+	ticks := 0
+	if e.sampleEv != nil {
+		ticks = 1
+	}
+	return e.srcDone && e.sim.Pending() == ticks
 }
 
 // QueueDepth returns the number of jobs waiting to be dispatched.
@@ -605,29 +570,19 @@ func (e *Engine) Finish() (*Result, error) {
 	}
 	if e.srcErr != nil {
 		// Flush what the drained in-flight work streamed before
-		// surfacing the source failure (the close error, if any, is
-		// secondary to the source error).
-		_ = e.rec.CloseSink()
-		_ = e.closeSeries()
-		_ = e.closeTrace()
-		return nil, fmt.Errorf("sim: workload source failed: %w", e.srcErr)
+		// surfacing the source failure.
+		return nil, e.fail(fmt.Errorf("sim: workload source failed: %w", e.srcErr))
 	}
 	if !e.sim.Stopped() && !e.srcDone {
 		// The event queue drained while the source still had arrivals
 		// to deliver: an engine wiring bug (e.g. a restored checkpoint
 		// that lost its pending-arrival event), never a legal end state
 		// — refuse to report a silently truncated run (see Done).
-		_ = e.rec.CloseSink()
-		_ = e.closeSeries()
-		_ = e.closeTrace()
-		return nil, fmt.Errorf("sim: event queue drained at t=%d with undelivered source arrivals (engine wiring bug)", e.Now())
+		return nil, e.fail(fmt.Errorf("sim: event queue drained at t=%d with undelivered source arrivals (engine wiring bug)", e.Now()))
 	}
 	if !e.sim.Stopped() && (len(e.queue) != 0 || len(e.running) != 0) {
-		_ = e.rec.CloseSink()
-		_ = e.closeSeries()
-		_ = e.closeTrace()
-		return nil, fmt.Errorf("sim: %d queued and %d running jobs never terminated (scheduler %q)",
-			len(e.queue), len(e.running), e.cfg.Scheduler.Name())
+		return nil, e.fail(fmt.Errorf("sim: %d queued and %d running jobs never terminated (scheduler %q)",
+			len(e.queue), len(e.running), e.cfg.Scheduler.Name()))
 	}
 	// Close the last integration interval. Normalize against the
 	// machine's current config, which scenario growth or uniform pool
@@ -637,17 +592,8 @@ func (e *Engine) Finish() (*Result, error) {
 	report := e.rec.Report(e.m.Config())
 	report.NodeFailures = e.failures
 	report.FailureKills = e.failKills
-	if err := e.rec.CloseSink(); err != nil {
-		_ = e.closeSeries()
-		_ = e.closeTrace()
-		return nil, fmt.Errorf("sim: closing record sink: %w", err)
-	}
-	if err := e.closeSeries(); err != nil {
-		_ = e.closeTrace()
-		return nil, fmt.Errorf("sim: closing series sink: %w", err)
-	}
-	if err := e.closeTrace(); err != nil {
-		return nil, fmt.Errorf("sim: closing trace sink: %w", err)
+	if err := e.close(); err != nil {
+		return nil, err
 	}
 	e.finished = true
 	e.result = &Result{
@@ -662,42 +608,33 @@ func (e *Engine) Finish() (*Result, error) {
 
 func (e *Engine) lastEventTime() int64 { return int64(e.sim.Now()) }
 
+// close is the engine's one close latch: the first call, on whichever
+// terminal path the run takes first, closes every output; later calls
+// close nothing and return the same error.
+func (e *Engine) close() error {
+	if !e.closed {
+		e.closed = true
+		e.closeErr = e.cfg.Outputs.Close()
+	}
+	return e.closeErr
+}
+
+// fail ends the run on err: the outputs are closed (and so flushed)
+// before err is returned, and a close error is secondary to err.
+func (e *Engine) fail(err error) error {
+	_ = e.close()
+	return err
+}
+
 // sampling reports whether the engine runs the periodic sampling tick
-// chain: a period is configured and at least one consumer — observer
-// or series sink — is attached.
+// chain: a period is configured and an attached output consumes
+// samples.
 func (e *Engine) sampling() bool {
-	return e.cfg.SampleEvery > 0 && (e.obs != nil || e.series != nil)
-}
-
-// closeSeries closes the configured series sink exactly once (on
-// whichever terminal path comes first), latching the close error for
-// Finish to surface.
-func (e *Engine) closeSeries() error {
-	if e.series == nil {
-		return nil
-	}
-	if !e.seriesClosed {
-		e.seriesClosed = true
-		e.seriesErr = e.series.Close()
-	}
-	return e.seriesErr
-}
-
-// closeTrace closes the configured trace sink exactly once, with the
-// same latch discipline as closeSeries.
-func (e *Engine) closeTrace() error {
-	if e.trace == nil {
-		return nil
-	}
-	if !e.traceClosed {
-		e.traceClosed = true
-		e.traceErr = e.trace.Close()
-	}
-	return e.traceErr
+	return e.cfg.SampleEvery > 0 && e.cfg.Outputs.samples()
 }
 
 // scheduleNextSample arms the next periodic sampling tick one period
-// ahead. The chain stops with the last outstanding job (jobDone
+// ahead. The chain stops with the last outstanding job (record
 // cancels it) so trailing ticks cannot stretch the metrics integration
 // window.
 func (e *Engine) scheduleNextSample() {
@@ -713,73 +650,29 @@ func (e *Engine) scheduleSampleAt(at des.Time) {
 }
 
 // onSampleEvent fires one periodic sampling tick: deliver the sample to
-// every attached consumer, then re-arm. It reads e.obs and e.series at
-// fire time (the event carries no consumer), which is what lets Resume
-// rebuild it from the bare evSample kind tag.
+// the output list, then re-arm. It reads the list at fire time (the
+// event carries no consumer), which is what lets Resume rebuild it
+// from the bare evSample kind tag.
 func (e *Engine) onSampleEvent(des.Time, any) {
 	e.sampleEv = nil
-	e.emitSample()
-	e.scheduleNextSample()
-}
-
-// emitSample delivers one periodic sample to the observer and the
-// series sink.
-func (e *Engine) emitSample() {
 	s := e.Sample()
-	if e.obs != nil {
-		e.obs.OnSample(s)
+	for _, o := range e.outs {
+		o.sample(s)
 	}
-	if e.series != nil {
-		e.series.Add(e.seriesPoint(s))
-	}
-}
-
-// seriesPoint flattens a sample plus the per-pool usage breakdown into
-// the serializable series row.
-func (e *Engine) seriesPoint(s Sample) metrics.SeriesPoint {
-	return metrics.SeriesPoint{
-		Now:             s.Now,
-		QueueDepth:      s.QueueDepth,
-		Running:         s.Running,
-		Done:            s.Done,
-		Events:          s.Events,
-		BusyNodes:       s.Usage.BusyNodes,
-		UsedCores:       s.Usage.UsedCores,
-		UsedLocalMiB:    s.Usage.UsedLocal,
-		UsedPoolMiB:     s.Usage.UsedPool,
-		PoolDemandGiBps: s.Usage.PoolDemand,
-		MaxPoolUtil:     s.Usage.MaxPoolUtil,
-		MaxCongest:      s.Usage.MaxCongest,
-		Pools:           s.Pools,
-	}
+	e.scheduleNextSample()
 }
 
 func (e *Engine) onArrival(now int64, job *workload.Job) {
 	e.rec.OnSubmit(now)
-	if e.trace != nil {
-		e.trace.Add(trace.Event{
-			Now: now, Type: trace.Submit,
-			Job: job.ID, User: job.User, Nodes: job.Nodes, Submit: job.Submit,
-		})
+	for _, o := range e.outs {
+		o.submit(now, job)
 	}
 	if !e.cfg.Scheduler.Feasible(job, e.m, e.cfg.Model) {
-		rec := metrics.JobRecord{
+		e.record(now, metrics.JobRecord{
 			ID: job.ID, User: job.User, Nodes: job.Nodes, Submit: job.Submit,
 			Estimate: job.Estimate, BaseRuntime: job.BaseRuntime,
 			MemPerNode: job.MemPerNode, Dilation: 1, Rejected: true,
-		}
-		e.rec.Add(rec)
-		if e.trace != nil {
-			e.trace.Add(trace.Event{
-				Now: now, Type: trace.Terminate,
-				Job: job.ID, User: job.User, Nodes: job.Nodes, Submit: job.Submit,
-				Reason: "rejected",
-			})
-		}
-		if e.obs != nil {
-			e.obs.OnTerminate(now, rec)
-		}
-		e.jobDone()
+		}, false)
 		return
 	}
 	e.queue = append(e.queue, job)
@@ -804,8 +697,8 @@ func (e *Engine) onPassEvent(now des.Time, _ any) {
 
 func (e *Engine) pass(now int64) {
 	dispatched := e.dispatchPass(now)
-	if e.obs != nil {
-		e.obs.OnPassEnd(now, dispatched, len(e.queue))
+	for _, o := range e.outs {
+		o.passEnd(now, dispatched, len(e.queue))
 	}
 }
 
@@ -969,46 +862,9 @@ func (e *Engine) start(now int64, d sched.Dispatch) {
 	e.running[job.ID] = rs
 	e.insertRunning(job.ID)
 	e.scheduleEnd(rs)
-	if e.trace != nil {
-		racks, pools := e.placementOf(rs.alloc)
-		e.trace.Add(trace.Event{
-			Now: now, Type: trace.Dispatch,
-			Job: job.ID, User: job.User, Nodes: job.Nodes, Submit: job.Submit,
-			Racks:    racks,
-			Pools:    pools,
-			LocalMiB: rs.alloc.TotalMiB() - rs.alloc.RemoteMiB(), RemoteMiB: rs.alloc.RemoteMiB(),
-			Dilation: dil,
-		})
+	for _, o := range e.outs {
+		o.dispatch(now, job, rs.alloc, dil)
 	}
-	if e.obs != nil {
-		e.obs.OnDispatch(now, job, rs.alloc.RemoteMiB(), dil)
-	}
-}
-
-// placementOf flattens an allocation's placement for the trace: the
-// racks its nodes sit in and the pools it borrows from, each ascending.
-// It walks Shares directly (same pool rule as TouchedPools) in one
-// pass; the returned slices are fresh — trace consumers like the
-// dmserve ring retain events, so they must never alias engine scratch.
-func (e *Engine) placementOf(a *cluster.Allocation) (racks, pools []int) {
-	nodes := e.m.Nodes()
-	for _, sh := range a.Shares {
-		r := nodes[sh.Node].Rack
-		if i := sort.SearchInts(racks, r); i == len(racks) || racks[i] != r {
-			racks = append(racks, 0)
-			copy(racks[i+1:], racks[i:])
-			racks[i] = r
-		}
-		if sh.RemoteMiB > 0 {
-			p := int(sh.Pool)
-			if i := sort.SearchInts(pools, p); i == len(pools) || pools[i] != p {
-				pools = append(pools, 0)
-				copy(pools[i+1:], pools[i:])
-				pools[i] = p
-			}
-		}
-	}
-	return racks, pools
 }
 
 // currentDilation evaluates the model against the committed allocation
@@ -1097,12 +953,8 @@ func (e *Engine) terminate(now int64, jobID int, killed, byFailure bool) {
 			// The site resubmits the job: it re-enters the queue and
 			// restarts from scratch. Only its final outcome produces
 			// a job record.
-			if e.trace != nil {
-				e.trace.Add(trace.Event{
-					Now: now, Type: trace.Restart,
-					Job: job.ID, User: job.User, Nodes: job.Nodes, Submit: job.Submit,
-					Start: rs.start, Restarts: e.restarts[job.ID],
-				})
+			for _, o := range e.outs {
+				o.restart(now, job, rs.start, e.restarts[job.ID])
 			}
 			e.queue = append(e.queue, job)
 			e.m.Recycle(rs.alloc)
@@ -1116,7 +968,7 @@ func (e *Engine) terminate(now int64, jobID int, killed, byFailure bool) {
 		killed = true
 		failed = true
 	}
-	rec := metrics.JobRecord{
+	e.record(now, metrics.JobRecord{
 		ID: job.ID, User: job.User, Nodes: job.Nodes, Submit: job.Submit,
 		Start: rs.start, End: now,
 		Estimate: job.Estimate, Limit: rs.limit,
@@ -1124,42 +976,29 @@ func (e *Engine) terminate(now int64, jobID int, killed, byFailure bool) {
 		RemoteMiB: rs.alloc.RemoteMiB(), RemoteFrac: rs.alloc.RemoteFraction(),
 		Dilation: rs.dilAtStart, Killed: killed,
 		Restarts: e.restarts[job.ID],
-	}
-	e.rec.Add(rec)
-	if e.trace != nil {
-		reason := "done"
-		switch {
-		case failed:
-			reason = "failed"
-		case killed:
-			reason = "killed"
-		}
-		e.trace.Add(trace.Event{
-			Now: now, Type: trace.Terminate,
-			Job: job.ID, User: job.User, Nodes: job.Nodes, Submit: job.Submit,
-			Start: rs.start, Reason: reason, Restarts: e.restarts[job.ID],
-		})
-	}
-	if e.obs != nil {
-		e.obs.OnTerminate(now, rec)
-	}
+	}, failed)
 	// The released allocation's last read was the record above; return
 	// it to the machine's free list (no-op unless it came from
 	// AllocateCopy).
 	e.m.Recycle(rs.alloc)
 	e.freeRunningState(rs)
-	e.jobDone()
 	e.afterChange(now)
 	e.requestPass()
 }
 
-// jobDone decrements the outstanding-work counter; once everything has
-// terminated (and the source has no more arrivals to deliver) the
-// failure and sampling processes stop so the event queue can drain.
-func (e *Engine) jobDone() {
+// record ends one job's life, rejected at arrival or terminated: the
+// recorder keeps rec, every output sees it, and the job stops counting
+// as outstanding. Once everything has terminated (and the source has no
+// more arrivals to deliver) the failure and sampling processes stop so
+// the event queue can drain.
+func (e *Engine) record(now int64, rec metrics.JobRecord, failed bool) {
+	e.rec.Add(rec)
+	for _, o := range e.outs {
+		o.terminate(now, rec, failed)
+	}
 	e.jobsLeft--
 	e.terminated++
-	if e.outstanding() {
+	if e.Outstanding() {
 		return
 	}
 	if e.failEv != nil {
@@ -1196,7 +1035,7 @@ func (e *Engine) onFailureEvent(now des.Time, _ any) { e.onFailure(int64(now)) }
 // and schedules the repair.
 func (e *Engine) onFailure(now int64) {
 	e.failEv = nil
-	if !e.outstanding() {
+	if !e.Outstanding() {
 		return
 	}
 	defer e.scheduleNextFailure()

@@ -42,8 +42,9 @@ type Sample struct {
 // Stopping early is the one sanctioned intervention, via the owning
 // handle's Stop method (it only halts the event loop).
 //
-// A nil Observer costs nothing: the engine guards every hook with a nil
-// check and schedules no sampling events.
+// A nil Observer costs nothing: it never joins the engine's output list
+// (see Outputs), and without it or a series sink the engine schedules
+// no sampling events.
 type Observer interface {
 	// OnDispatch fires when a job starts, after its allocation is
 	// committed. remoteMiB is the pool memory the placement borrowed

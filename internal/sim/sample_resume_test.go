@@ -60,7 +60,7 @@ func TestSampleChainResumesInPhase(t *testing.T) {
 		prefix := append([]int64(nil), parent.ticks...)
 
 		resumed := &tickRecorder{}
-		fork, err := Resume(cp, Overrides{Observer: resumed})
+		fork, err := Resume(cp, Overrides{Outputs: Outputs{Observer: resumed}})
 		if err != nil {
 			t.Fatalf("resume at %d: %v", at, err)
 		}
@@ -131,7 +131,7 @@ func TestSampleResumePeriodOverride(t *testing.T) {
 	}
 
 	obs := &tickRecorder{}
-	fork, err := Resume(cp, Overrides{Observer: obs, SampleEvery: 500})
+	fork, err := Resume(cp, Overrides{SampleEvery: 500, Outputs: Outputs{Observer: obs}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSampleStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := &tickRecorder{}
-	fork, err := Resume(cp2, Overrides{Observer: resumed})
+	fork, err := Resume(cp2, Overrides{Outputs: Outputs{Observer: resumed}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"dismem/internal/cluster"
 	"dismem/internal/scenario"
-	"dismem/internal/trace"
 )
 
 // This file is the engine half of the scenario subsystem: timed
@@ -18,18 +17,16 @@ import (
 
 // onScenario applies one intervention at its scheduled time.
 func (e *Engine) onScenario(now int64, ev scenario.Event) {
-	if !e.outstanding() {
-		return // nothing outstanding; jobDone already cancels the rest
+	if !e.Outstanding() {
+		return // nothing outstanding; record already cancels the rest
 	}
-	if e.trace != nil {
-		// Emitted before the intervention is applied, so the kills it
-		// causes trace after their cause.
-		e.trace.Add(trace.Event{Now: now, Type: trace.ScenarioEvent, Detail: ev.String()})
+	for _, o := range e.outs {
+		o.scenario(now, ev, false)
 	}
 	e.applyScenario(now, ev)
 	e.scenApplied++
-	if e.obs != nil {
-		e.obs.OnScenarioEvent(now, ev)
+	for _, o := range e.outs {
+		o.scenario(now, ev, true)
 	}
 	if ev.Kind == scenario.Beta && !e.reDilate {
 		// Contention-insensitive models never re-dilate via
@@ -119,7 +116,7 @@ func (e *Engine) downNode(now int64, id cluster.NodeID) {
 	if n.Busy != 0 {
 		e.terminate(now, n.Busy, true, true)
 	}
-	if !e.outstanding() {
+	if !e.Outstanding() {
 		// The kill above was the last outstanding job (it exhausted its
 		// restart budget); the machine state no longer matters.
 		return

@@ -1,22 +1,53 @@
 package sim
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"dismem/internal/metrics"
 	"dismem/internal/source"
+	"dismem/internal/trace"
 	"dismem/internal/workload"
 )
 
 // trackingSink counts records and closes, standing in for a buffered
-// file sink whose data is lost unless Close (= flush) runs.
+// file sink whose data is lost unless Close (= flush) runs; a non-nil
+// err makes Close fail.
 type trackingSink struct {
 	added  int
 	closes int
+	err    error
 }
 
 func (s *trackingSink) Add(metrics.JobRecord) { s.added++ }
-func (s *trackingSink) Close() error          { s.closes++; return nil }
+func (s *trackingSink) Close() error          { s.closes++; return s.err }
+
+// seriesCounter and traceCounter count closes like trackingSink.
+type seriesCounter struct {
+	closes int
+	err    error
+}
+
+func (s *seriesCounter) Add(metrics.SeriesPoint) {}
+func (s *seriesCounter) Close() error            { s.closes++; return s.err }
+
+type traceCounter struct {
+	closes int
+	err    error
+}
+
+func (s *traceCounter) Add(trace.Event) {}
+func (s *traceCounter) Close() error    { s.closes++; return s.err }
+
+// allSinks attaches a fresh record, series and trace sink to cfg,
+// sampling often enough that the series sink receives rows.
+func allSinks(cfg *Config) (*trackingSink, *seriesCounter, *traceCounter) {
+	rec, series, tr := &trackingSink{}, &seriesCounter{}, &traceCounter{}
+	cfg.SampleEvery = 500
+	cfg.Outputs = Outputs{RecordSink: rec, SeriesSink: series, TraceSink: tr}
+	return rec, series, tr
+}
 
 // TestSinkClosedAfterStopFinish pins the satellite bugfix: a run
 // truncated with Stop must still flush and close its record sink at
@@ -59,49 +90,71 @@ func TestSinkClosedAfterStopFinish(t *testing.T) {
 }
 
 // TestSinkClosedOnStartErrors pins that every failed-start path closes
-// (and therefore flushes) the sink, since Finish will never run.
+// (and therefore flushes) all three sinks, since Finish will never run.
 func TestSinkClosedOnStartErrors(t *testing.T) {
-	// Invalid workload.
-	sink := &trackingSink{}
-	cfg := streamCfg()
-	cfg.RecordSink = sink
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bad := &workload.Workload{Jobs: []*workload.Job{{ID: -1, Submit: 0, Nodes: 1, Estimate: 1, BaseRuntime: 1}}}
-	if err := e.Start(bad); err == nil {
-		t.Fatal("invalid workload accepted")
-	}
-	if sink.closes != 1 {
-		t.Fatalf("sink closed %d times after invalid workload, want 1", sink.closes)
-	}
-
-	// Nil source.
-	sink = &trackingSink{}
-	cfg.RecordSink = sink
-	if e, err = New(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.StartSource(nil); err == nil {
-		t.Fatal("nil source accepted")
-	}
-	if sink.closes != 1 {
-		t.Fatalf("sink closed %d times after nil source, want 1", sink.closes)
-	}
-
-	// Source whose first job is invalid.
-	sink = &trackingSink{}
-	cfg.RecordSink = sink
-	if e, err = New(cfg); err != nil {
-		t.Fatal(err)
-	}
 	badSrc := source.FromJobs([]*workload.Job{{ID: 1, Submit: 0, Nodes: 0, Estimate: 1, BaseRuntime: 1}})
-	if err := e.StartSource(badSrc); err == nil {
-		t.Fatal("invalid streamed job accepted")
+	for _, tc := range []struct {
+		name  string
+		start func(*Engine) error
+	}{
+		{"invalid workload", func(e *Engine) error { return e.Start(bad) }},
+		{"nil source", func(e *Engine) error { return e.StartSource(nil) }},
+		{"source whose first job is invalid", func(e *Engine) error { return e.StartSource(badSrc) }},
+	} {
+		cfg := streamCfg()
+		rec, series, tr := allSinks(&cfg)
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.start(e); err == nil {
+			t.Fatalf("%s: start accepted", tc.name)
+		}
+		if rec.closes != 1 || series.closes != 1 || tr.closes != 1 {
+			t.Fatalf("%s: sinks closed record=%d series=%d trace=%d times, want 1 each",
+				tc.name, rec.closes, series.closes, tr.closes)
+		}
 	}
-	if sink.closes != 1 {
-		t.Fatalf("sink closed %d times after broken source, want 1", sink.closes)
+}
+
+// TestFinishCloseErrorNamesSink pins the one close latch: a sink whose
+// Close fails makes Finish return an error naming that sink, the other
+// sinks still close exactly once, and a repeated Finish returns the
+// same error without closing anything again.
+func TestFinishCloseErrorNamesSink(t *testing.T) {
+	boom := errors.New("disk full")
+	for _, failing := range []string{"record", "series", "trace"} {
+		cfg := streamCfg()
+		rec, series, tr := allSinks(&cfg)
+		switch failing {
+		case "record":
+			rec.err = boom
+		case "series":
+			series.err = boom
+		case "trace":
+			tr.err = boom
+		}
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Start(testWorkload(30, 1)); err != nil {
+			t.Fatal(err)
+		}
+		e.RunAll()
+		_, err1 := e.Finish()
+		if !errors.Is(err1, boom) || !strings.Contains(err1.Error(), "closing "+failing+" sink") {
+			t.Fatalf("%s close failing: Finish error %v, want one naming the %s sink", failing, err1, failing)
+		}
+		_, err2 := e.Finish()
+		if err2 == nil || err2.Error() != err1.Error() {
+			t.Fatalf("%s close failing: repeated Finish error %v, want %v", failing, err2, err1)
+		}
+		if rec.closes != 1 || series.closes != 1 || tr.closes != 1 {
+			t.Fatalf("%s close failing: sinks closed record=%d series=%d trace=%d times, want 1 each",
+				failing, rec.closes, series.closes, tr.closes)
+		}
 	}
 }
 

@@ -122,7 +122,7 @@ type CheckpointState struct {
 // dismem.SaveCheckpoint for what qualifies.
 func (cp *Checkpoint) State() (*CheckpointState, error) {
 	st := &CheckpointState{
-		Bounded:     cp.bounded,
+		Bounded:     cp.rec.Bounded(),
 		Now:         cp.now,
 		Fired:       cp.fired,
 		Machine:     cp.machine.State(),
@@ -229,7 +229,6 @@ func CheckpointFromState(cfg Config, st *CheckpointState) (*Checkpoint, error) {
 
 	cp := &Checkpoint{
 		cfg:          cfg,
-		bounded:      st.Bounded,
 		now:          st.Now,
 		fired:        st.Fired,
 		machine:      m,
@@ -249,8 +248,6 @@ func CheckpointFromState(cfg Config, st *CheckpointState) (*Checkpoint, error) {
 		scenApplied:  st.ScenApplied,
 		scenarioDown: make(map[cluster.NodeID]bool, len(st.ScenarioDown)),
 	}
-	cp.cfg.Observer = nil
-	cp.cfg.RecordSink = nil
 	if cp.restarts == nil {
 		cp.restarts = map[int]int{}
 	}

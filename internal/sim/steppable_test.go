@@ -152,7 +152,7 @@ func TestSamplingStopsWithLastJob(t *testing.T) {
 	obs := &samplingObserver{}
 	cfg := Config{
 		Machine: tinyMachine(0, 0), Scheduler: easyLocal(),
-		Observer: obs, SampleEvery: 50,
+		SampleEvery: 50, Outputs: Outputs{Observer: obs},
 	}
 	e, err := New(cfg)
 	if err != nil {

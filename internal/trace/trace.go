@@ -5,7 +5,7 @@
 // scenario interventions, and checkpoint/fork boundaries — consumed by
 // a TraceSink.
 //
-// Tracing follows the series-sink contract (DESIGN.md §11) exactly: a
+// Tracing follows the engine's Outputs contract (DESIGN.md §11): a
 // nil sink is zero-cost, the engine closes the configured sink exactly
 // once on every terminal path of the run, and the JSONL stream is
 // checkpoint-composable — an interrupted run's trace plus its resume's

@@ -35,7 +35,30 @@ func New(o Options) (*Simulation, error) { return newSimulation(o, nil) }
 // prior engine's run-independent state (machine, event pool, scratch).
 // prev == nil is a plain fresh construction; see sim.NewReusing for
 // what reuse preserves and the bit-identity contract it keeps.
+//
+// The outputs belong to the run from this call on: a rejection before
+// an engine exists closes them here, and once one exists its close
+// latch does.
 func newSimulation(o Options, prev *sim.Engine) (*Simulation, error) {
+	outs := sim.Outputs{Observer: o.Observer, RecordSink: o.RecordSink, SeriesSink: o.SeriesSink, TraceSink: o.TraceSink}
+	eng, err := newEngine(o, outs, prev)
+	if err != nil {
+		_ = outs.Close()
+		return nil, err
+	}
+	if o.Source != nil {
+		err = eng.StartSource(o.Source)
+	} else {
+		err = eng.Start(o.Workload)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Simulation{eng: eng, opts: o}, nil
+}
+
+// newEngine validates o and builds its engine, reporting to outs.
+func newEngine(o Options, outs sim.Outputs, prev *sim.Engine) (*sim.Engine, error) {
 	if o.Workload == nil && o.Source == nil {
 		return nil, fmt.Errorf("dismem: nil workload (set Options.Workload or Options.Source)")
 	}
@@ -69,7 +92,7 @@ func newSimulation(o Options, prev *sim.Engine) (*Simulation, error) {
 			return nil, err
 		}
 	}
-	eng, err := sim.NewReusing(sim.Config{
+	return sim.NewReusing(sim.Config{
 		Machine:         mc,
 		Model:           model,
 		Scheduler:       s,
@@ -77,28 +100,13 @@ func newSimulation(o Options, prev *sim.Engine) (*Simulation, error) {
 		CheckInvariants: o.CheckInvariants,
 		Failures:        o.Failures,
 		Scenario:        o.Scenario,
-		Observer:        o.Observer,
 		SampleEvery:     o.SampleEvery,
-		RecordSink:      o.RecordSink,
-		SeriesSink:      o.SeriesSink,
-		TraceSink:       o.TraceSink,
+		Outputs:         outs,
 	}, prev)
-	if err != nil {
-		return nil, err
-	}
-	if o.Source != nil {
-		err = eng.StartSource(o.Source)
-	} else {
-		err = eng.Start(o.Workload)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Simulation{eng: eng, opts: o}, nil
 }
 
-// Step fires the single earliest event. It returns false once the
-// simulation is done (drained or stopped).
+// Step fires the single earliest event. It returns false, firing
+// nothing, once the simulation is Done.
 func (s *Simulation) Step() bool { return s.eng.Step() }
 
 // RunUntil fires every event scheduled at or before virtual time t and
@@ -114,7 +122,9 @@ func (s *Simulation) RunUntil(t int64) { s.eng.RunUntil(t) }
 func (s *Simulation) Run() (*Result, error) {
 	if s.horizon > 0 {
 		s.eng.RunUntil(s.horizon)
-		if !s.eng.Done() {
+		// A future still running at the horizon, or stuck there with
+		// queued jobs, is cut short rather than reported as failed.
+		if !s.eng.Done() || s.eng.Outstanding() {
 			s.eng.Stop()
 		}
 	} else {
@@ -132,7 +142,9 @@ func (s *Simulation) Stop() { s.eng.Stop() }
 func (s *Simulation) Now() int64 { return s.eng.Now() }
 
 // Done reports whether the simulation can make no more progress:
-// everything terminated, or Stop was called.
+// everything terminated, Stop was called, or the run is stuck, with
+// queued jobs nothing left can start (Result then reports them as an
+// error, whether or not the run samples).
 func (s *Simulation) Done() bool { return s.eng.Done() }
 
 // QueueDepth returns the number of jobs waiting to be dispatched.
