@@ -55,11 +55,12 @@ func TestAllocBudgetRunner(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates allocation counts")
 	}
-	r := dismem.NewRunner(allocBudgetOptions())
+	opts := allocBudgetOptions()
+	r := dismem.NewRunner()
 	// AllocsPerRun's own warm-up call doubles as the batch's cold
 	// first run, so the measured runs are all steady-state reuse.
 	perRun := testing.AllocsPerRun(3, func() {
-		res, err := r.Run(dismem.RunSpec{})
+		res, err := r.Run(opts)
 		if err != nil {
 			t.Fatal(err)
 		}

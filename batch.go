@@ -6,134 +6,34 @@ import "dismem/internal/sim"
 // every piece of engine state that is independent of an individual run
 // — the machine (reset, not rebuilt, when consecutive runs share a
 // configuration), the DES event pool, and the engine's dispatch-pass
-// and bookkeeping scratch. A batch of n runs performs one machine
+// and bookkeeping scratch. A sequence of n runs performs one machine
 // construction and O(1) steady-state allocations per job instead of
 // rebuilding the world n times; results are bit-identical to n
-// independent Simulate calls (pinned by TestRunBatchMatchesLoopOfSimulate).
+// independent Simulate calls (pinned by TestRunnerMatchesLoopOfSimulate).
 //
 // The unit of reuse is the Runner. internal/sweep gives each of its
 // pool workers one Runner so a whole parameter sweep amortises
 // construction across every (cell, seed) unit the worker executes.
 
-// RunSpec describes one run of a batch as overrides over the batch's
-// base Options. A zero field inherits the base value; a set field
-// replaces it for that run only. Fields that are valid when zero on
-// Options (StrictKill, SampleEvery) use pointers here so "inherit" and
-// "override to zero" stay distinguishable.
-//
-// Machine configuration is deliberately absent: a batch runs on one
-// machine shape. Runs needing different machines belong to different
-// batches (or a Runner constructed per shape).
-type RunSpec struct {
-	// Policy / SchedulerImpl override the base scheduler (same
-	// precedence as Options: an implementation beats a spec string).
-	Policy        string
-	SchedulerImpl Scheduler
-	// Model / ModelImpl override the base memory model.
-	Model     string
-	ModelImpl MemoryModel
-	// Workload / Source override the base input. Workloads are never
-	// mutated by the engine, so one *Workload may be shared by many
-	// specs (and many concurrent Runners).
-	Workload *Workload
-	Source   Source
-	// Scenario and Failures override the base perturbations.
-	Scenario *Scenario
-	Failures *FailureConfig
-	// StrictKill, when non-nil, overrides the base kill discipline.
-	StrictKill *bool
-	// Observer and sinks are per-run consumers; each run of a batch
-	// normally gets its own (a sink is closed at the end of its run).
-	Observer    Observer
-	SampleEvery *int64
-	RecordSink  Sink
-	SeriesSink  SeriesSink
-	TraceSink   TraceSink
-}
-
-// apply merges the spec over base and returns the per-run Options.
-func (sp RunSpec) apply(base Options) Options {
-	o := base
-	if sp.Policy != "" {
-		o.Policy = sp.Policy
-		o.SchedulerImpl = nil
-	}
-	if sp.SchedulerImpl != nil {
-		o.SchedulerImpl = sp.SchedulerImpl
-	}
-	if sp.Model != "" {
-		o.Model = sp.Model
-		o.ModelImpl = nil
-	}
-	if sp.ModelImpl != nil {
-		o.ModelImpl = sp.ModelImpl
-	}
-	if sp.Workload != nil {
-		o.Workload = sp.Workload
-		o.Source = nil
-	}
-	if sp.Source != nil {
-		o.Source = sp.Source
-		o.Workload = nil
-	}
-	if sp.Scenario != nil {
-		o.Scenario = sp.Scenario
-	}
-	if sp.Failures != nil {
-		o.Failures = sp.Failures
-	}
-	if sp.StrictKill != nil {
-		o.StrictKill = *sp.StrictKill
-	}
-	if sp.Observer != nil {
-		o.Observer = sp.Observer
-	}
-	if sp.SampleEvery != nil {
-		o.SampleEvery = *sp.SampleEvery
-	}
-	if sp.RecordSink != nil {
-		o.RecordSink = sp.RecordSink
-	}
-	if sp.SeriesSink != nil {
-		o.SeriesSink = sp.SeriesSink
-	}
-	if sp.TraceSink != nil {
-		o.TraceSink = sp.TraceSink
-	}
-	return o
-}
-
 // A Runner executes simulations sequentially, recycling run-independent
-// engine state from each completed run into the next. It is
+// engine state from each completed run into the next. Every run is
+// described by its own complete Options, exactly as for Simulate. It is
 // single-goroutine state (like Simulation); concurrent batches use one
-// Runner per goroutine. The zero Runner is not usable; construct with
-// NewRunner.
+// Runner per goroutine.
 type Runner struct {
-	base Options
 	// prev is the last successfully finished engine, consumed (and
-	// cleared) by the next Run as its donor of recyclable state.
+	// cleared) by the next run as its donor of recyclable state.
 	prev *sim.Engine
 }
 
-// NewRunner returns a Runner whose runs default to base. Base is
-// validated lazily, per run, exactly as Simulate validates its Options
-// — an invalid base surfaces from the first Run that inherits the
-// offending field.
-func NewRunner(base Options) *Runner { return &Runner{base: base} }
+// NewRunner returns a Runner with no state to recycle yet.
+func NewRunner() *Runner { return &Runner{} }
 
-// Run executes one run of the batch: spec merged over the Runner's
-// base Options, recycling state from the Runner's previous run when
-// the machine configuration is unchanged. The Result is identical —
-// byte for byte across reports, records, series and traces — to
-// Simulate on the merged Options.
-func (r *Runner) Run(spec RunSpec) (*Result, error) {
-	return r.RunOptions(spec.apply(r.base))
-}
-
-// RunOptions executes one run from fully assembled Options, bypassing
-// the base/spec merge. This is the primitive internal/sweep drives:
-// its cells already build complete per-seed Options.
-func (r *Runner) RunOptions(o Options) (*Result, error) {
+// Run executes one run of o, recycling state from the Runner's previous
+// run when the machine configuration is unchanged. The Result is
+// identical — byte for byte across reports, records, series and traces
+// — to Simulate(o).
+func (r *Runner) Run(o Options) (*Result, error) {
 	s, err := r.NewSimulation(o)
 	if err != nil {
 		return nil, err
@@ -146,7 +46,7 @@ func (r *Runner) RunOptions(o Options) (*Result, error) {
 	return res, nil
 }
 
-// NewSimulation builds the batch's next run as a steppable Simulation,
+// NewSimulation builds the Runner's next run as a steppable Simulation,
 // consuming the Runner's recyclable state (so at most one outstanding
 // handle per Runner benefits from reuse). Drive it like any Simulation;
 // when done, hand it back with Retire so the following run can recycle
@@ -165,27 +65,4 @@ func (r *Runner) Retire(s *Simulation) {
 	if s != nil {
 		r.prev = s.eng
 	}
-}
-
-// RunBatch executes specs sequentially — each merged over base — and
-// returns one Result per spec, in order. The machine is constructed
-// once and reset between runs, event and bookkeeping pools carry over,
-// and workloads shared across specs are reused, not regenerated. A
-// failing run aborts the batch and returns its error alongside the
-// results of the runs that completed (results[i] is non-nil exactly
-// for the completed prefix).
-//
-// Equivalent, bit for bit, to calling Simulate once per merged spec:
-// see TestRunBatchMatchesLoopOfSimulate.
-func RunBatch(base Options, specs []RunSpec) ([]*Result, error) {
-	results := make([]*Result, len(specs))
-	r := NewRunner(base)
-	for i, sp := range specs {
-		res, err := r.Run(sp)
-		if err != nil {
-			return results, err
-		}
-		results[i] = res
-	}
-	return results, nil
 }

@@ -58,61 +58,41 @@ func assertSameRun(t *testing.T, i int, got, want *runCapture) {
 	}
 }
 
-// TestRunBatchMatchesLoopOfSimulate drives a heterogeneous batch —
-// policies, models, scenarios, failures and shared workloads all vary
-// across specs — through RunBatch and through a loop of independent
-// Simulate calls on the identical merged options, and requires every
+// TestRunnerMatchesLoopOfSimulate drives a heterogeneous sequence of
+// runs — policies, models, scenarios, failures and shared workloads all
+// vary from run to run — through one Runner and through a loop of
+// independent Simulate calls on identical options, and requires every
 // observable output to match exactly.
-func TestRunBatchMatchesLoopOfSimulate(t *testing.T) {
+func TestRunnerMatchesLoopOfSimulate(t *testing.T) {
 	wlA := SyntheticWorkload(300, 1)
 	wlB := SyntheticWorkload(300, 2)
 	scen, err := ParseScenario("at=3600 down rack=1; at=14400 up rack=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict := true
-	base := Options{Policy: "memaware", Model: "bandwidth:1,1"}
-	specs := []RunSpec{
-		{Workload: wlA},
-		{Workload: wlB, Policy: "order=sjf backfill=conservative placer=spill"},
-		{Workload: wlA, Model: "linear:0.7"},
-		{Workload: wlB, Scenario: scen},
-		{Workload: wlA, StrictKill: &strict,
-			Failures: &FailureConfig{MTBFPerNodeSec: 400000, RepairSec: 1800, Seed: 7}},
-		{Workload: wlA}, // repeat of spec 0: reuse after heterogeneity
+	const policy, model = "memaware", "bandwidth:1,1"
+	fails := &FailureConfig{MTBFPerNodeSec: 400000, RepairSec: 1800, Seed: 7}
+	runs := []Options{
+		{Policy: policy, Model: model, Workload: wlA},
+		{Policy: "order=sjf backfill=conservative placer=spill", Model: model, Workload: wlB},
+		{Policy: policy, Model: "linear:0.7", Workload: wlA},
+		{Policy: policy, Model: model, Workload: wlB, Scenario: scen},
+		{Policy: policy, Model: model, Workload: wlA, StrictKill: true, Failures: fails},
+		{Policy: policy, Model: model, Workload: wlA}, // repeat of run 0: reuse after heterogeneity
 	}
 
-	// The batch and the oracle loop need their own sinks; build one
-	// capture per spec per side and splice the sinks in via a second
-	// spec set.
-	batchSpecs := make([]RunSpec, len(specs))
-	batchCaps := make([]*runCapture, len(specs))
-	for i, sp := range specs {
-		o, c := sinkOpts(sp.apply(base))
-		batchCaps[i] = c
-		sp.RecordSink = o.RecordSink
-		sp.SeriesSink = o.SeriesSink
-		sp.TraceSink = o.TraceSink
-		ev := o.SampleEvery
-		sp.SampleEvery = &ev
-		batchSpecs[i] = sp
-	}
-	results, err := RunBatch(base, batchSpecs)
-	if err != nil {
-		t.Fatalf("RunBatch: %v", err)
-	}
-	for i, res := range results {
-		batchCaps[i].res = res
-	}
-
-	for i, sp := range specs {
-		o, want := sinkOpts(sp.apply(base))
-		want.res, err = Simulate(o)
-		if err != nil {
-			t.Fatalf("Simulate spec %d: %v", i, err)
+	r := NewRunner()
+	for i, opts := range runs {
+		o, got := sinkOpts(opts)
+		if got.res, err = r.Run(o); err != nil {
+			t.Fatalf("Runner run %d: %v", i, err)
 		}
-		assertSameRun(t, i, batchCaps[i], want)
-		if !reflect.DeepEqual(batchCaps[i].res.Recorder.Records(), want.res.Recorder.Records()) {
+		o, want := sinkOpts(opts)
+		if want.res, err = Simulate(o); err != nil {
+			t.Fatalf("Simulate run %d: %v", i, err)
+		}
+		assertSameRun(t, i, got, want)
+		if !reflect.DeepEqual(got.res.Recorder.Records(), want.res.Recorder.Records()) {
 			t.Errorf("run %d: retained records diverged", i)
 		}
 	}
@@ -125,10 +105,10 @@ func TestRunnerReuseBitIdentical(t *testing.T) {
 	wl := SyntheticWorkload(250, 3)
 	opts := Options{Policy: "memaware", Model: "step:1,2", Workload: wl}
 
-	r := NewRunner(Options{})
+	r := NewRunner()
 	for i := 0; i < 3; i++ {
 		o, got := sinkOpts(opts)
-		got.res, _ = r.RunOptions(o)
+		got.res, _ = r.Run(o)
 		if got.res == nil {
 			t.Fatalf("run %d failed", i)
 		}
@@ -143,7 +123,7 @@ func TestRunnerReuseBitIdentical(t *testing.T) {
 	small.Racks = 2
 	o, got := sinkOpts(Options{Machine: small, Policy: "memaware", Workload: wl})
 	var err error
-	got.res, err = r.RunOptions(o)
+	got.res, err = r.Run(o)
 	if err != nil {
 		t.Fatalf("machine-change run: %v", err)
 	}
@@ -159,7 +139,7 @@ func TestRunnerReuseAfterStoppedRun(t *testing.T) {
 	wl := SyntheticWorkload(250, 3)
 	opts := Options{Policy: "memaware", Workload: wl}
 
-	r := NewRunner(Options{})
+	r := NewRunner()
 	h, err := r.NewSimulation(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +152,7 @@ func TestRunnerReuseAfterStoppedRun(t *testing.T) {
 	r.Retire(h)
 
 	o, got := sinkOpts(opts)
-	got.res, err = r.RunOptions(o)
+	got.res, err = r.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}

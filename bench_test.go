@@ -129,7 +129,7 @@ func BenchmarkSimulation(b *testing.B) { benchkit.Simulation(b) }
 
 // BenchmarkBatchSimulation is BenchmarkSimulation on the batched
 // multi-run path: one Runner per benchmark, machine and pools recycled
-// between runs (see dismem.RunBatch).
+// between runs (see dismem.Runner).
 func BenchmarkBatchSimulation(b *testing.B) { benchkit.BatchSimulation(b) }
 
 // BenchmarkScenarioSimulation is BenchmarkSimulation with an active

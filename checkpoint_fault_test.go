@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"dismem"
@@ -108,21 +110,49 @@ func TestLoadRejectsVersionSkew(t *testing.T) {
 // behind a VALID digest, proving validation does not stop at the
 // checksum: the decoder and the state validators must still reject it.
 func TestLoadRejectsPayloadForgery(t *testing.T) {
-	header := envelopeBytes(t)[:44] // magic + version + fingerprint from a real save
+	env := envelopeBytes(t)
+	header := env[:44] // magic + version + fingerprint from a real save
 	for name, payload := range map[string]string{
-		"not json":         "this is not a checkpoint",
-		"empty object":     "{}",
-		"null state":       `{"machine":{},"model":"linear:0.5","state":null}`,
-		"unknown field":    `{"bogusField":1}`,
-		"negative now":     `{"machine":{"Racks":1,"NodesPerRack":1,"CoresPerNode":1,"LocalMemMiB":1024},"model":"linear:0.5","state":{"now":-5,"fired":0,"events":[],"machine":{},"recorder":{}}}`,
-		"bad event kind":   `{"machine":{"Racks":1,"NodesPerRack":1,"CoresPerNode":1,"LocalMemMiB":1024},"model":"linear:0.5","state":{"now":0,"fired":0,"events":[{"t":1,"kind":"warp-core-breach"}],"machine":{},"recorder":{}}}`,
-		"unknown policy":   `{"machine":{},"model":"linear:0.5","policy":"no-such-policy=","state":{"now":0,"fired":0,"events":[],"machine":{},"recorder":{}}}`,
-		"unknown model":    `{"machine":{},"model":"antigravity:9","state":{"now":0,"fired":0,"events":[],"machine":{},"recorder":{}}}`,
-		"bad scenario":     `{"machine":{},"model":"linear:0.5","scenario":"at=banana explode","state":{"now":0,"fired":0,"events":[],"machine":{},"recorder":{}}}`,
-		"invalid failures": `{"machine":{},"model":"linear:0.5","failures":{"MTBFPerNodeSec":-1,"RepairSec":0},"state":{"now":0,"fired":0,"events":[],"machine":{},"recorder":{}}}`,
+		"not json":       "this is not a checkpoint",
+		"empty object":   "{}",
+		"null state":     `{"machine":{},"model":"linear:0.5","state":null}`,
+		"unknown field":  `{"bogusField":1}`,
+		"negative now":   `{"machine":{"Racks":1,"NodesPerRack":1,"CoresPerNode":1,"LocalMemMiB":1024},"model":"linear:0.5","state":{"now":-5,"fired":0,"events":[],"machine":{},"recorder":{}}}`,
+		"bad event kind": `{"machine":{"Racks":1,"NodesPerRack":1,"CoresPerNode":1,"LocalMemMiB":1024},"model":"linear:0.5","state":{"now":0,"fired":0,"events":[{"t":1,"kind":"warp-core-breach"}],"machine":{},"recorder":{}}}`,
 	} {
 		if _, err := dismem.LoadCheckpoint(bytes.NewReader(forgeEnvelope(header, []byte(payload)))); err == nil {
 			t.Errorf("forged payload %q loaded successfully", name)
+		}
+	}
+
+	// One forged field over an otherwise valid payload (real machine,
+	// model and state): each check must fire on its own and name its
+	// field. A zero machine or an empty model is a forgery, not a
+	// default to fill — a saved run records both resolved.
+	valid := env[52 : len(env)-32]
+	if _, err := dismem.LoadCheckpoint(bytes.NewReader(forgeEnvelope(header, valid))); err != nil {
+		t.Fatalf("unforged payload failed to load: %v", err)
+	}
+	for _, tc := range []struct{ name, field, value, want string }{
+		{"zero machine", "machine", `{}`, "checkpoint machine config"},
+		{"empty model", "model", `""`, "checkpoint memory model"},
+		{"unknown model", "model", `"antigravity:9"`, "checkpoint memory model"},
+		{"unknown policy", "policy", `"no-such-policy="`, "checkpoint policy"},
+		{"bad scenario", "scenario", `"at=banana explode"`, "checkpoint scenario"},
+		{"invalid failures", "failures", `{"MTBFPerNodeSec":-1,"RepairSec":0}`, "checkpoint failure config"},
+	} {
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(valid, &fields); err != nil {
+			t.Fatal(err)
+		}
+		fields[tc.field] = json.RawMessage(tc.value)
+		payload, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = dismem.LoadCheckpoint(bytes.NewReader(forgeEnvelope(header, payload)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("forged %s: got %v, want an error naming %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"reflect"
 
 	"dismem/internal/durable"
-	"dismem/internal/memmodel"
 	"dismem/internal/sim"
 	"dismem/internal/source"
 )
@@ -113,22 +112,14 @@ func encodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dismem: %w", err)
 	}
-	mc := o.Machine
-	if mc.IsZero() {
-		mc = DefaultMachine()
-	}
-	model := o.Model
-	if model == "" {
-		model = "linear:0.5"
-	}
 	scen := ""
 	if o.Scenario != nil {
 		scen = o.Scenario.String()
 	}
 	p := ckptPayload{
-		Machine:         mc,
+		Machine:         o.Machine,
 		Policy:          o.Policy,
-		Model:           model,
+		Model:           o.Model,
 		StrictKill:      o.StrictKill,
 		CheckInvariants: o.CheckInvariants,
 		Failures:        o.Failures,
@@ -202,60 +193,45 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return rebuildCheckpoint(&p)
 }
 
-// rebuildCheckpoint reconstructs the run configuration from its specs
-// and revalidates the flattened state.
+// rebuildCheckpoint rebuilds the run a payload describes through
+// resolve and revalidates the flattened state. A payload records its
+// run's resolved machine and model, so a zero machine or an empty
+// model is a forgery, never a default to fill.
 func rebuildCheckpoint(p *ckptPayload) (*Checkpoint, error) {
 	if p.State == nil {
 		return nil, fmt.Errorf("dismem: checkpoint payload has no engine state")
 	}
-	if err := p.Machine.Validate(); err != nil {
-		return nil, fmt.Errorf("dismem: checkpoint machine config: %w", err)
+	if p.Machine.IsZero() {
+		return nil, fmt.Errorf("dismem: checkpoint machine config: zero machine")
 	}
-	model, err := memmodel.Parse(p.Model)
-	if err != nil {
-		return nil, fmt.Errorf("dismem: checkpoint memory model: %w", err)
+	if p.Model == "" {
+		return nil, fmt.Errorf("dismem: checkpoint memory model: empty spec")
 	}
-	sch, err := NewScheduler(p.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("dismem: checkpoint policy: %w", err)
-	}
-	var scen *Scenario
-	if p.Scenario != "" {
-		scen, err = ParseScenario(p.Scenario)
-		if err != nil {
-			return nil, fmt.Errorf("dismem: checkpoint scenario: %w", err)
-		}
-	}
-	if p.Failures != nil {
-		if err := p.Failures.Validate(); err != nil {
-			return nil, fmt.Errorf("dismem: checkpoint failure config: %w", err)
-		}
-	}
-	cfg := sim.Config{
-		Machine:         p.Machine,
-		Model:           model,
-		Scheduler:       sch,
-		ExtendLimit:     !p.StrictKill,
-		CheckInvariants: p.CheckInvariants,
-		Failures:        p.Failures,
-		Scenario:        scen,
-		SampleEvery:     p.SampleEvery,
-	}
-	cp, err := sim.CheckpointFromState(cfg, p.State)
-	if err != nil {
-		return nil, fmt.Errorf("dismem: %w", err)
-	}
-	opts := Options{
+	o := Options{
 		Machine:         p.Machine,
 		Policy:          p.Policy,
 		Model:           p.Model,
 		StrictKill:      p.StrictKill,
 		CheckInvariants: p.CheckInvariants,
 		Failures:        p.Failures,
-		Scenario:        scen,
 		SampleEvery:     p.SampleEvery,
 	}
-	return &Checkpoint{cp: cp, opts: opts}, nil
+	if p.Scenario != "" {
+		sc, err := ParseScenario(p.Scenario)
+		if err != nil {
+			return nil, fmt.Errorf("dismem: checkpoint scenario: %w", err)
+		}
+		o.Scenario = sc
+	}
+	o, cfg, err := resolve(o)
+	if err != nil {
+		return nil, fmt.Errorf("dismem: checkpoint %w", err)
+	}
+	cp, err := sim.CheckpointFromState(cfg, p.State)
+	if err != nil {
+		return nil, fmt.Errorf("dismem: %w", err)
+	}
+	return &Checkpoint{cp: cp, opts: o}, nil
 }
 
 // WriteCheckpointFile saves cp to path atomically (durable.WriteFile):

@@ -136,6 +136,35 @@ func TestSecondGeneration(t *testing.T) {
 		mustRun(t, mustFork(t, saveLoad(t, cp2), dismem.ForkOptions{})))
 }
 
+// TestCheckpointRecordsResolvedOptions: a checkpoint reports the
+// options its run was built with after defaults were filled, so a run
+// that left Model empty reports the same model in memory as after a
+// save/load round trip.
+func TestCheckpointRecordsResolvedOptions(t *testing.T) {
+	cp := checkpointAt(t, dismem.Options{
+		Policy:      "order=sjf placer=memaware",
+		Workload:    dismem.SyntheticWorkload(300, 4),
+		SeriesSink:  dismem.DiscardSeries,
+		SampleEvery: 1800,
+	}, 15000)
+	loaded := saveLoad(t, cp)
+	if cp.Model() != "linear:0.5" {
+		t.Errorf("in-memory Model() = %q, want the resolved default linear:0.5", cp.Model())
+	}
+	for _, c := range []struct {
+		name     string
+		mem, got any
+	}{
+		{"Policy", cp.Policy(), loaded.Policy()},
+		{"Model", cp.Model(), loaded.Model()},
+		{"SampleEvery", cp.SampleEvery(), loaded.SampleEvery()},
+	} {
+		if c.mem != c.got {
+			t.Errorf("%s() = %v in memory, %v after save/load", c.name, c.mem, c.got)
+		}
+	}
+}
+
 // TestSaveRejectsLiveCode: runs built from live implementations have no
 // serialized form and must fail pointedly at save time.
 func TestSaveRejectsLiveCode(t *testing.T) {

@@ -93,7 +93,7 @@ const exitInterrupted = 3
 func main() {
 	var (
 		policy    = flag.String("policy", "memaware", "scheduling policy: "+strings.Join(dismem.Policies(), ", "))
-		specFlag  = flag.String("spec", "", `composable policy spec, e.g. "order=sjf placer=memaware cap=3" (overrides -policy)`)
+		specFlag  = flag.String("spec", "", `composable policy spec, e.g. "order=sjf placer=memaware cap=3" (overrides -policy; the report is labelled with the spec's name, and the run checkpoints with -ckpt-save like a -policy run)`)
 		scenFlag  = flag.String("scenario", "", `scenario timeline, e.g. "at=3600 down rack=2; at=7200 up rack=2; from=0 period=86400 amp=0.5 diurnal"`)
 		progress  = flag.Duration("progress", 0, "print live progress to stderr every given span of simulated time (e.g. 6h; 0 = off)")
 		model     = flag.String("model", "linear:0.5", "memory model spec (linear:b | step:b0,b | bandwidth:b,g)")
@@ -160,9 +160,6 @@ func main() {
 	if *ckptSave != "" {
 		if *swfStream {
 			fatalf("-ckpt-save cannot be combined with -swf-stream (a streamed trace source cannot checkpoint)")
-		}
-		if *specFlag != "" {
-			fatalf("-ckpt-save cannot be combined with -spec (a live scheduler instance cannot be serialized; use -policy)")
 		}
 		if *recordOut != "" {
 			fatalf("-ckpt-save cannot be combined with -records-out (a streamed record sink cannot be carried across a checkpoint)")
@@ -316,11 +313,14 @@ func main() {
 		opts.Scenario = sc
 	}
 	if *specFlag != "" {
+		// A spec string is a policy: the run records it, so -spec runs
+		// checkpoint and resume like -policy runs. Parsing it here only
+		// fails a bad spec early and names the report.
 		s, err := dismem.ParsePolicy(*specFlag)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		opts.SchedulerImpl = s
+		opts.Policy = *specFlag
 		label = s.Name()
 	}
 	if *cpAt > 0 {

@@ -47,9 +47,10 @@ func (c *Checkpoint) At() int64 { return c.cp.Now() }
 // was built with ("" for a run built with Options.SchedulerImpl).
 func (c *Checkpoint) Policy() string { return c.opts.Policy }
 
-// Model returns the memory-model spec of the checkpointed run ("" for
-// a run built with Options.ModelImpl; the engine default is
-// "linear:0.5").
+// Model returns the memory-model spec of the checkpointed run: a run
+// built with the default model reports "linear:0.5", in memory and
+// after SaveCheckpoint/LoadCheckpoint alike, and a run built with
+// Options.ModelImpl reports "".
 func (c *Checkpoint) Model() string { return c.opts.Model }
 
 // SampleEvery returns the sampling period the checkpointed run was
@@ -73,10 +74,7 @@ func (s *Simulation) Checkpoint() (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dismem: %w", err)
 	}
-	// Record how the run was built, not its live outputs.
-	opts := s.opts
-	opts.Observer, opts.RecordSink, opts.SeriesSink, opts.TraceSink = nil, nil, nil, nil
-	return &Checkpoint{cp: cp, opts: opts}, nil
+	return &Checkpoint{cp: cp, opts: s.opts}, nil
 }
 
 // ForkOptions adjusts a forked future relative to the checkpointed

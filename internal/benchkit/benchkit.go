@@ -218,19 +218,20 @@ func Simulation(b *testing.B) {
 // Runner executes the headline workload per iteration, so every run
 // after the first reuses the previous run's machine (reset in place),
 // DES event pool and engine scratch instead of rebuilding them. The
-// jobs/s gap to Simulation is what dismem.RunBatch — and the sweep
+// jobs/s gap to Simulation is what dismem.Runner — and the sweep
 // worker pool built on it — saves per run; results stay bit-identical
-// to fresh construction (TestRunBatchMatchesLoopOfSimulate).
+// to fresh construction (TestRunnerMatchesLoopOfSimulate).
 func BatchSimulation(b *testing.B) {
 	b.ReportAllocs()
-	wl := dismem.SyntheticWorkload(SimulationJobs, 1)
-	r := dismem.NewRunner(dismem.Options{
-		Policy: "memaware", Model: "bandwidth:1,1", Workload: wl,
-	})
+	opts := dismem.Options{
+		Policy: "memaware", Model: "bandwidth:1,1",
+		Workload: dismem.SyntheticWorkload(SimulationJobs, 1),
+	}
+	r := dismem.NewRunner()
 	a := allocSnapshot()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := r.Run(dismem.RunSpec{})
+		res, err := r.Run(opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -255,7 +255,7 @@ func New(cfg Config) (*Engine, error) { return newEngine(cfg, nil) }
 // scheduler, sinks, RNGs — is fresh, so a NewReusing engine produces
 // byte-identical reports, records, series and traces to a New one with
 // the same Config (the batch path's bit-identity contract, pinned by
-// TestRunBatchMatchesLoopOfSimulate). prev becomes unusable; passing a
+// TestRunnerMatchesLoopOfSimulate). prev becomes unusable; passing a
 // nil or unfinished prev falls back to plain construction.
 func NewReusing(cfg Config, prev *Engine) (*Engine, error) {
 	if prev == nil || !prev.finished {

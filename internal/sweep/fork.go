@@ -2,8 +2,6 @@ package sweep
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"dismem"
 )
@@ -22,6 +20,9 @@ type ForkPoint struct {
 	// reusing the instance captured in the checkpoints would share one
 	// mutable scheduler across concurrently driven forks.
 	scheduler func() dismem.Scheduler
+	// o holds the sweep options the prefix ran with: forks run on the
+	// same worker pool, with the same retry budget and cancellation.
+	o Options
 }
 
 // At returns the virtual time the prefix was frozen at.
@@ -31,54 +32,44 @@ func (fp *ForkPoint) At() int64 { return fp.at }
 func (fp *ForkPoint) Seeds() int { return len(fp.cps) }
 
 // CheckpointAt simulates the cell's prefix to virtual time t for every
-// seed (in parallel) and freezes each seed's state. The cell's
+// seed, on Run's worker pool, and freezes each seed's state. The cell's
 // StopWhen predicate is not applied during the prefix — the prefix is
-// a fixed horizon by construction.
+// a fixed horizon by construction. Each prefix ends once it is
+// checkpointed, closing its Series and Trace sinks; with a cancelled
+// Ctx, CheckpointAt returns ErrInterrupted.
 func (c Cell) CheckpointAt(o Options, t int64) (*ForkPoint, error) {
 	o = o.withDefaults()
-	mc := c.Machine
-	if mc.IsZero() {
-		mc = dismem.DefaultMachine()
-	}
+	mc := c.machine()
 	base := c
 	base.StopWhen = nil
 
 	cps := make([]*dismem.Checkpoint, o.Seeds)
-	errs := make([]error, o.Seeds)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for s := 0; s < o.Seeds; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			opts, _, err := base.seedOptions(o, mc, s)
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			h, err := dismem.New(opts)
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			h.RunUntil(t)
-			cps[s], errs[s] = h.Checkpoint()
-		}(s)
-	}
-	wg.Wait()
-	for s, err := range errs {
+	outs := make([]seedOut, o.Seeds)
+	o.pool(seedRange(o.Seeds), outs, func(s int, r *dismem.Runner) seedOut {
+		h, err := base.newSeed(o, mc, s, r)
 		if err != nil {
-			return nil, fmt.Errorf("sweep: checkpoint seed %d: %w", s+1, err)
+			return seedOut{err: err}
+		}
+		h.RunUntil(t)
+		cps[s], err = h.Checkpoint()
+		h.Stop()
+		if _, rerr := h.Result(); err == nil {
+			err = rerr
+		}
+		r.Retire(h)
+		return seedOut{err: err}
+	})
+	for s, out := range outs {
+		if out.err != nil {
+			return nil, fmt.Errorf("sweep: checkpoint seed %d: %w", s+1, out.err)
 		}
 	}
-	return &ForkPoint{cps: cps, at: t, scheduler: c.Scheduler}, nil
+	return &ForkPoint{cps: cps, at: t, scheduler: c.Scheduler, o: o}, nil
 }
 
 // ForkFrom resumes this cell's future from a shared fork point, one
-// fork per seed (in parallel), and aggregates like Run. The receiver
-// describes the FUTURE only:
+// fork per seed on the fork point's worker pool, and aggregates like
+// Run. The receiver describes the FUTURE only:
 //
 //   - Scenario, when set, replaces the remaining intervention timeline
 //     (see dismem.ForkOptions.Scenario); nil keeps the base cell's.
@@ -87,68 +78,47 @@ func (c Cell) CheckpointAt(o Options, t int64) (*ForkPoint, error) {
 //   - Failures, when set, reseeds the future failure stream per seed
 //     (the base cell must have configured failure injection).
 //   - StopWhen / SampleEvery apply to the future as in Run.
-//   - Trace, when set, attaches a per-seed lifecycle-trace sink to the
-//     forked future (parent sinks are never carried over).
+//   - Series and Trace, when set, attach per-seed sinks to the forked
+//     future as in Run (parent sinks are never carried over).
 //
 // Machine, Model, Gen, StrictKill and Bounded are fixed by the base
 // cell at checkpoint time and ignored here. One fork point serves any
 // number of variant cells; each ForkFrom forks fresh state.
 func (c Cell) ForkFrom(fp *ForkPoint) (Agg, error) {
 	outs := make([]seedOut, len(fp.cps))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for s := range fp.cps {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fo := dismem.ForkOptions{Scenario: c.Scenario, Policy: c.Policy}
-			switch {
-			case c.Scheduler != nil:
-				fo.SchedulerImpl = c.Scheduler()
-			case c.Policy == "" && fp.scheduler != nil:
-				// Variant keeps the base cell's factory-built policy:
-				// build a fresh instance rather than sharing the one
-				// frozen in the checkpoint.
-				fo.SchedulerImpl = fp.scheduler()
-			}
-			if c.Failures != nil {
-				fo.ReseedFailures = true
-				fo.FailureSeed = c.Failures.Seed + uint64(s)
-			}
-			if c.Trace != nil {
-				fo.TraceSink = c.Trace(s)
-			}
-			var abort *abortObserver
-			if c.StopWhen != nil {
-				abort = &abortObserver{stop: c.StopWhen}
-				fo.Observer = abort
-				fo.SampleEvery = c.SampleEvery
-				if fo.SampleEvery <= 0 {
-					fo.SampleEvery = 3600
-				}
-			}
-			h, err := dismem.Fork(fp.cps[s], fo)
-			if err != nil {
-				outs[s] = seedOut{err: err}
-				return
-			}
-			if abort != nil {
-				abort.h = h
-			}
-			res, err := h.Run()
-			if err != nil {
-				outs[s] = seedOut{err: err}
-				return
-			}
-			outs[s] = seedOut{rep: res.Report, stopped: res.Stopped}
-			if s == 0 {
-				outs[s].records = res.Recorder.Records()
-				outs[s].jain = res.Recorder.Fairness().JainWait
-			}
-		}(s)
-	}
-	wg.Wait()
+	fp.o.pool(seedRange(len(fp.cps)), outs, func(s int, _ *dismem.Runner) seedOut {
+		fo := dismem.ForkOptions{Scenario: c.Scenario, Policy: c.Policy}
+		switch {
+		case c.Scheduler != nil:
+			fo.SchedulerImpl = c.Scheduler()
+		case c.Policy == "" && fp.scheduler != nil:
+			// Variant keeps the base cell's factory-built policy:
+			// build a fresh instance rather than sharing the one
+			// frozen in the checkpoint.
+			fo.SchedulerImpl = fp.scheduler()
+		}
+		if fc := c.seedFailures(s); fc != nil {
+			fo.ReseedFailures = true
+			fo.FailureSeed = fc.Seed
+		}
+		h, err := c.startSeed(fp.o, s, func(out dismem.Options) (*dismem.Simulation, error) {
+			fo.Observer, fo.SampleEvery = out.Observer, out.SampleEvery
+			fo.SeriesSink, fo.TraceSink = out.SeriesSink, out.TraceSink
+			return dismem.Fork(fp.cps[s], fo)
+		})
+		if err != nil {
+			return seedOut{err: err}
+		}
+		return seedResult(h, s)
+	})
 	return aggregate(outs)
+}
+
+// seedRange returns the seeds 0..n-1.
+func seedRange(n int) []int {
+	seeds := make([]int, n)
+	for s := range seeds {
+		seeds[s] = s
+	}
+	return seeds
 }

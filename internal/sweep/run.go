@@ -31,7 +31,8 @@ type Options struct {
 	// Seeds per cell; reported numbers are seed means (default 5).
 	Seeds int
 	// Workers caps how many (cell, seed) simulation units run
-	// concurrently (default GOMAXPROCS).
+	// concurrently (default GOMAXPROCS). A unit is one seed of a
+	// Cell.Run, a Cell.CheckpointAt prefix or a Cell.ForkFrom future.
 	Workers int
 	// Retries is the per-unit retry budget after a panic inside a unit
 	// (default 1, i.e. up to two attempts). A unit that keeps panicking
@@ -217,10 +218,7 @@ type seedOut struct {
 // ErrInterrupted.
 func (c Cell) Run(o Options) (Agg, error) {
 	o = o.withDefaults()
-	mc := c.Machine
-	if mc.IsZero() {
-		mc = dismem.DefaultMachine()
-	}
+	mc := c.machine()
 
 	// Unit identities exist only for cacheable cells, and are computed
 	// only when there is a store to archive them to.
@@ -243,41 +241,59 @@ func (c Cell) Run(o Options) (Agg, error) {
 		}
 		units = append(units, s)
 	}
-
-	// Fixed worker pool, each worker owning one dismem.Runner:
-	// consecutive units on a worker recycle the previous unit's
-	// machine and engine state instead of rebuilding them (see
-	// dismem.RunBatch for the reuse contract). Results merge in seed
-	// order, not completion order, so the aggregate is independent of
-	// the worker count.
-	workers := o.Workers
-	if workers > len(units) {
-		workers = len(units)
+	o.pool(units, outs, func(s int, r *dismem.Runner) seedOut {
+		h, err := c.newSeed(o, mc, s, r)
+		if err != nil {
+			return seedOut{err: err}
+		}
+		out := seedResult(h, s)
+		r.Retire(h)
+		return out
+	})
+	if err := c.archive(o, mc, outs, specs); err != nil {
+		return Agg{}, err
 	}
+	return aggregate(outs)
+}
+
+// machine returns the cell's machine, DefaultMachine when unset.
+func (c Cell) machine() dismem.MachineConfig {
+	if c.Machine.IsZero() {
+		return dismem.DefaultMachine()
+	}
+	return c.Machine
+}
+
+// pool runs unit for every seed in seeds on a fixed pool of o.Workers
+// goroutines and stores each outcome in outs. Each worker owns one
+// dismem.Runner, so consecutive units on a worker recycle the previous
+// unit's machine and engine state instead of rebuilding them (see
+// dismem.Runner for the reuse contract). Units write only their own
+// slot, so the merge is in seed order, not completion order, and
+// nothing downstream depends on the worker count. Every completed unit
+// is reported to o.UnitDone.
+func (o Options) pool(seeds []int, outs []seedOut, unit func(s int, r *dismem.Runner) seedOut) {
+	workers := min(o.Workers, len(seeds))
 	feed := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runner := dismem.NewRunner(dismem.Options{})
+			r := dismem.NewRunner()
 			for s := range feed {
-				outs[s] = c.runUnit(o, mc, s, runner)
+				outs[s] = o.runUnit(func() seedOut { return unit(s, r) })
 				if outs[s].err == nil && o.UnitDone != nil {
 					o.UnitDone()
 				}
 			}
 		}()
 	}
-	for _, s := range units {
+	for _, s := range seeds {
 		feed <- s
 	}
 	close(feed)
 	wg.Wait()
-	if err := c.archive(o, mc, outs, specs); err != nil {
-		return Agg{}, err
-	}
-	return aggregate(outs)
 }
 
 // unitKind is the run-store kind of an archived sweep unit.
@@ -318,7 +334,7 @@ func (c Cell) archive(o Options, mc dismem.MachineConfig, outs []seedOut, specs 
 }
 
 // seedOutFromRun rehydrates an archived unit. Only seed 0's record
-// carries Records and JainWait, matching what runUnitOnce collects.
+// carries Records and JainWait, matching what seedResult collects.
 func seedOutFromRun(run runstore.Run) seedOut {
 	if run.Report == nil {
 		return seedOut{err: fmt.Errorf("sweep: archived unit %s has no report", run.ID)}
@@ -377,15 +393,7 @@ func (c Cell) unitSpecJSON(o Options, mc dismem.MachineConfig, s int) ([]byte, e
 	if c.Scheduler != nil || c.StopWhen != nil || c.Series != nil || c.Trace != nil {
 		return nil, errNotCacheable
 	}
-	gen := dismem.GenConfig{}
-	if c.Gen != nil {
-		gen = *c.Gen
-	} else {
-		gen = defaultGen(o.Jobs, uint64(s+1), mc)
-	}
-	gen.Jobs = o.Jobs
-	gen.Seed = uint64(s + 1)
-	gs, err := workload.GenConfigToState(gen)
+	gs, err := workload.GenConfigToState(c.seedGen(o, mc, s))
 	if err != nil {
 		return nil, fmt.Errorf("%w (%v)", errNotCacheable, err)
 	}
@@ -396,14 +404,10 @@ func (c Cell) unitSpecJSON(o Options, mc dismem.MachineConfig, s int) ([]byte, e
 		Model:      c.Model,
 		Gen:        gs,
 		StrictKill: c.StrictKill,
+		Failures:   c.seedFailures(s),
 		Bounded:    c.Bounded,
 		Jobs:       o.Jobs,
 		Seed:       s,
-	}
-	if c.Failures != nil {
-		fc := *c.Failures
-		fc.Seed += uint64(s)
-		spec.Failures = &fc
 	}
 	if c.Scenario != nil {
 		spec.Scenario = c.Scenario.String()
@@ -424,16 +428,16 @@ func (c Cell) cellLabel(mc dismem.MachineConfig) string {
 	return fmt.Sprintf("%s/%s r%dx%d", c.Policy, model, mc.Racks, mc.NodesPerRack)
 }
 
-// runUnit runs one (cell, seed) simulation with the per-unit panic
-// retry budget, honouring cancellation before, during (via the sample
-// observer), and after the run.
-func (c Cell) runUnit(o Options, mc dismem.MachineConfig, s int, runner *dismem.Runner) seedOut {
+// runUnit runs one unit with the per-unit panic retry budget,
+// honouring cancellation before, during (via the abort observer), and
+// after the run.
+func (o Options) runUnit(unit func() seedOut) seedOut {
 	var out seedOut
 	for attempt := 0; ; attempt++ {
 		if o.interrupted() {
 			return seedOut{err: ErrInterrupted}
 		}
-		out = c.runUnitOnce(o, mc, s, runner)
+		out = attemptUnit(unit)
 		var pe *unitPanicError
 		if out.err == nil || !errors.As(out.err, &pe) || attempt >= o.Retries {
 			break
@@ -457,32 +461,26 @@ func (e *unitPanicError) Error() string {
 	return fmt.Sprintf("sweep: panic in simulation unit: %v", e.val)
 }
 
-// runUnitOnce performs a single attempt, converting a panic anywhere in
+// attemptUnit performs a single attempt, converting a panic anywhere in
 // workload generation or simulation into a unitPanicError instead of
 // tearing down the whole sweep's worker pool.
-func (c Cell) runUnitOnce(o Options, mc dismem.MachineConfig, s int, runner *dismem.Runner) (out seedOut) {
+func attemptUnit(unit func() seedOut) (out seedOut) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = seedOut{err: &unitPanicError{val: r}}
 		}
 	}()
-	opts, abort, err := c.seedOptions(o, mc, s)
-	if err != nil {
-		return seedOut{err: err}
-	}
-	h, err := runner.NewSimulation(opts)
-	if err != nil {
-		return seedOut{err: err}
-	}
-	if abort != nil {
-		abort.h = h
-	}
+	return unit()
+}
+
+// seedResult runs h to completion and keeps what aggregate needs; the
+// first seed also keeps its records and fairness.
+func seedResult(h *dismem.Simulation, s int) seedOut {
 	res, err := h.Run()
-	runner.Retire(h)
 	if err != nil {
 		return seedOut{err: err}
 	}
-	out = seedOut{rep: res.Report, stopped: res.Stopped}
+	out := seedOut{rep: res.Report, stopped: res.Stopped}
 	if s == 0 {
 		out.records = res.Recorder.Records()
 		out.jain = res.Recorder.Fairness().JainWait
@@ -490,23 +488,39 @@ func (c Cell) runUnitOnce(o Options, mc dismem.MachineConfig, s int, runner *dis
 	return out
 }
 
-// seedOptions assembles one seed's simulation options: the cell's
-// configuration plus the harness-owned workload generation and
-// per-seed failure stream. The returned abortObserver (non-nil only
-// with StopWhen or a cancellable sweep context) still needs its handle
-// wired after dismem.New.
-func (c Cell) seedOptions(o Options, mc dismem.MachineConfig, s int) (dismem.Options, *abortObserver, error) {
-	gen := dismem.GenConfig{}
+// seedGen is seed s's workload generator: the cell's Gen, or the
+// calibrated default for machine mc, with the harness-owned job count
+// and seed.
+func (c Cell) seedGen(o Options, mc dismem.MachineConfig, s int) dismem.GenConfig {
+	var gen dismem.GenConfig
 	if c.Gen != nil {
 		gen = *c.Gen
 	} else {
-		gen = defaultGen(o.Jobs, uint64(s+1), mc)
+		gen = dismem.DefaultGen(o.Jobs, 0, mc)
 	}
 	gen.Jobs = o.Jobs
 	gen.Seed = uint64(s + 1)
-	wl, err := cachedWorkload(gen)
+	return gen
+}
+
+// seedFailures is seed s's failure config: the cell's, with an
+// independent failure stream per seed (nil when the cell injects none).
+func (c Cell) seedFailures(s int) *sim.FailureConfig {
+	if c.Failures == nil {
+		return nil
+	}
+	fc := *c.Failures
+	fc.Seed += uint64(s)
+	return &fc
+}
+
+// newSeed builds seed s's run on runner r: the cell's configuration
+// plus the seed's workload and failure stream, with the cell's outputs
+// attached by startSeed.
+func (c Cell) newSeed(o Options, mc dismem.MachineConfig, s int, r *dismem.Runner) (*dismem.Simulation, error) {
+	wl, err := cachedWorkload(c.seedGen(o, mc, s))
 	if err != nil {
-		return dismem.Options{}, nil, err
+		return nil, err
 	}
 	opts := dismem.Options{
 		Machine:    mc,
@@ -514,37 +528,57 @@ func (c Cell) seedOptions(o Options, mc dismem.MachineConfig, s int) (dismem.Opt
 		Model:      c.Model,
 		Workload:   wl,
 		StrictKill: c.StrictKill,
+		Failures:   c.seedFailures(s),
 		Scenario:   c.Scenario,
 	}
 	if c.Bounded {
 		opts.RecordSink = dismem.DiscardRecords
 	}
-	if c.Failures != nil {
-		fc := *c.Failures
-		fc.Seed += uint64(s) // independent stream per seed
-		opts.Failures = &fc
-	}
 	if c.Scheduler != nil {
 		opts.SchedulerImpl = c.Scheduler()
 	}
+	return c.startSeed(o, s, func(out dismem.Options) (*dismem.Simulation, error) {
+		opts.Observer, opts.SampleEvery = out.Observer, out.SampleEvery
+		opts.SeriesSink, opts.TraceSink = out.SeriesSink, out.TraceSink
+		return r.NewSimulation(opts)
+	})
+}
+
+// startSeed builds seed s's run with start, which receives the cell's
+// outputs for that seed in the output fields of a dismem.Options: the
+// abort observer (with StopWhen, or a cancellable sweep context), the
+// Series and Trace sinks, and the sampling period they need (default
+// 3600). start must hand them straight to the constructor that owns
+// them (dismem.New and dismem.Fork close them on rejection). The abort
+// observer is wired to the handle start returns; no event fires before
+// that, since construction only primes the event queue.
+func (c Cell) startSeed(o Options, s int, start func(out dismem.Options) (*dismem.Simulation, error)) (*dismem.Simulation, error) {
+	var out dismem.Options
 	var abort *abortObserver
 	if c.StopWhen != nil || o.Ctx != nil {
 		abort = &abortObserver{stop: c.StopWhen, ctx: o.Ctx}
-		opts.Observer = abort
+		out.Observer = abort
 	}
 	if c.Series != nil {
-		opts.SeriesSink = c.Series(s)
+		out.SeriesSink = c.Series(s)
 	}
 	if c.Trace != nil {
-		opts.TraceSink = c.Trace(s)
+		out.TraceSink = c.Trace(s)
 	}
 	if abort != nil || c.Series != nil {
-		opts.SampleEvery = c.SampleEvery
-		if opts.SampleEvery <= 0 {
-			opts.SampleEvery = 3600
+		out.SampleEvery = c.SampleEvery
+		if out.SampleEvery <= 0 {
+			out.SampleEvery = 3600
 		}
 	}
-	return opts, abort, nil
+	h, err := start(out)
+	if err != nil {
+		return nil, err
+	}
+	if abort != nil {
+		abort.h = h
+	}
+	return h, nil
 }
 
 // wlCache shares generated workloads across cells: comparison
@@ -669,10 +703,4 @@ func recorderFromRecords(a Agg) *metrics.Recorder {
 		rec.Add(r)
 	}
 	return rec
-}
-
-// defaultGen returns the calibrated generator for machine mc, scaling
-// job sizes to the machine width.
-func defaultGen(jobs int, seed uint64, mc dismem.MachineConfig) dismem.GenConfig {
-	return dismem.DefaultGen(jobs, seed, mc)
 }

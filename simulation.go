@@ -15,9 +15,10 @@ import (
 // one goroutine only.
 type Simulation struct {
 	eng *sim.Engine
-	// opts is retained so Checkpoint can record how the run was built
-	// (Fork rebuilds a fresh scheduler from the policy spec when the
-	// fork does not override it).
+	// opts is how the run was built, as resolve returns it: defaults
+	// filled, outputs dropped. Checkpoint records it, and Fork rebuilds
+	// a fresh scheduler from its policy spec when the fork does not
+	// override it.
 	opts Options
 	// horizon, when > 0, is where Run truncates this forked future
 	// (ForkOptions.Horizon); Fork has already validated it against the
@@ -41,7 +42,19 @@ func New(o Options) (*Simulation, error) { return newSimulation(o, nil) }
 // latch does.
 func newSimulation(o Options, prev *sim.Engine) (*Simulation, error) {
 	outs := sim.Outputs{Observer: o.Observer, RecordSink: o.RecordSink, SeriesSink: o.SeriesSink, TraceSink: o.TraceSink}
-	eng, err := newEngine(o, outs, prev)
+	var eng *sim.Engine
+	rec, cfg, err := resolve(o)
+	switch {
+	case o.Workload == nil && o.Source == nil:
+		err = fmt.Errorf("dismem: nil workload (set Options.Workload or Options.Source)")
+	case o.Workload != nil && o.Source != nil:
+		err = fmt.Errorf("dismem: both Workload and Source set; choose one")
+	case err != nil:
+		err = fmt.Errorf("dismem: %w", err)
+	default:
+		cfg.Outputs = outs
+		eng, err = sim.NewReusing(cfg, prev)
+	}
 	if err != nil {
 		_ = outs.Close()
 		return nil, err
@@ -54,46 +67,49 @@ func newSimulation(o Options, prev *sim.Engine) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{eng: eng, opts: o}, nil
+	return &Simulation{eng: eng, opts: rec}, nil
 }
 
-// newEngine validates o and builds its engine, reporting to outs.
-func newEngine(o Options, outs sim.Outputs, prev *sim.Engine) (*sim.Engine, error) {
-	if o.Workload == nil && o.Source == nil {
-		return nil, fmt.Errorf("dismem: nil workload (set Options.Workload or Options.Source)")
+// resolve is the one place a run description becomes an engine
+// configuration, for new runs and loaded checkpoints alike. It fills
+// the defaults — DefaultMachine for a zero Machine, "linear:0.5" for
+// an empty Model without a ModelImpl — validates the machine and the
+// failure config, and builds the memory model and scheduler. It
+// returns the Options the run records (defaults filled, outputs
+// dropped) and the sim.Config without outputs. Its errors name the
+// field at fault and carry no package prefix; the caller adds one.
+func resolve(o Options) (Options, sim.Config, error) {
+	o.Observer, o.RecordSink, o.SeriesSink, o.TraceSink = nil, nil, nil, nil
+	if o.Machine.IsZero() {
+		o.Machine = DefaultMachine()
 	}
-	if o.Workload != nil && o.Source != nil {
-		return nil, fmt.Errorf("dismem: both Workload and Source set; choose one")
+	if o.Model == "" && o.ModelImpl == nil {
+		o.Model = "linear:0.5"
 	}
-	mc := o.Machine
-	if mc.IsZero() {
-		mc = DefaultMachine()
-	}
-	if err := mc.Validate(); err != nil {
-		return nil, fmt.Errorf("dismem: %w", err)
+	if err := o.Machine.Validate(); err != nil {
+		return o, sim.Config{}, fmt.Errorf("machine config: %w", err)
 	}
 	model := o.ModelImpl
 	if model == nil {
-		ms := o.Model
-		if ms == "" {
-			ms = "linear:0.5"
-		}
 		var err error
-		model, err = memmodel.Parse(ms)
-		if err != nil {
-			return nil, err
+		if model, err = memmodel.Parse(o.Model); err != nil {
+			return o, sim.Config{}, fmt.Errorf("memory model: %w", err)
 		}
 	}
 	s := o.SchedulerImpl
 	if s == nil {
 		var err error
-		s, err = NewScheduler(o.Policy)
-		if err != nil {
-			return nil, err
+		if s, err = NewScheduler(o.Policy); err != nil {
+			return o, sim.Config{}, fmt.Errorf("policy: %w", err)
 		}
 	}
-	return sim.NewReusing(sim.Config{
-		Machine:         mc,
+	if o.Failures != nil {
+		if err := o.Failures.Validate(); err != nil {
+			return o, sim.Config{}, fmt.Errorf("failure config: %w", err)
+		}
+	}
+	return o, sim.Config{
+		Machine:         o.Machine,
 		Model:           model,
 		Scheduler:       s,
 		ExtendLimit:     !o.StrictKill,
@@ -101,8 +117,7 @@ func newEngine(o Options, outs sim.Outputs, prev *sim.Engine) (*sim.Engine, erro
 		Failures:        o.Failures,
 		Scenario:        o.Scenario,
 		SampleEvery:     o.SampleEvery,
-		Outputs:         outs,
-	}, prev)
+	}, nil
 }
 
 // Step fires the single earliest event. It returns false, firing
