@@ -1,19 +1,30 @@
 // Benchmarks regenerating every table and figure of the reconstructed
 // evaluation (DESIGN.md §4), plus micro-benchmarks of the simulator's
-// hot paths. Each experiment benchmark runs the corresponding sweep at
-// a reduced-but-meaningful scale per iteration; run
+// hot paths and of checkpointing. Each experiment benchmark runs the
+// corresponding sweep at a reduced-but-meaningful scale per iteration;
+// run
 //
 //	go test -bench=. -benchmem
 //
 // and use `go run ./cmd/dmsweep -exp <id>` for the full-scale numbers
-// recorded in EXPERIMENTS.md.
+// recorded in EXPERIMENTS.md. The repository benchmark, with trials,
+// noise and end-to-end workloads (streamed replay, traced runs, the
+// sweep grid, what-if serving), is perfbench/ (DESIGN.md §6).
 package dismem_test
 
 import (
+	"bytes"
+	"errors"
+	"runtime"
 	"testing"
 
-	"dismem/internal/benchkit"
+	"dismem"
+	"dismem/internal/cluster"
+	"dismem/internal/core"
 	"dismem/internal/des"
+	"dismem/internal/memmodel"
+	"dismem/internal/sched"
+	"dismem/internal/spec"
 	"dismem/internal/sweep"
 	"dismem/internal/workload"
 )
@@ -85,6 +96,9 @@ func BenchmarkTable4Fairness(b *testing.B) { benchExperiment(b, "table4") }
 // BenchmarkVal2Lublin regenerates the workload-model robustness check.
 func BenchmarkVal2Lublin(b *testing.B) { benchExperiment(b, "val2") }
 
+// BenchmarkFig11OutageSeverity regenerates the outage-severity sweep.
+func BenchmarkFig11OutageSeverity(b *testing.B) { benchExperiment(b, "fig11") }
+
 // --- micro-benchmarks of the simulator's hot paths -------------------------
 
 // BenchmarkEventQueue measures raw DES schedule+fire throughput.
@@ -100,16 +114,124 @@ func BenchmarkEventQueue(b *testing.B) {
 }
 
 // BenchmarkMachineAllocRelease measures the cluster bookkeeping cycle.
-func BenchmarkMachineAllocRelease(b *testing.B) { benchkit.MachineAllocRelease(b) }
+func BenchmarkMachineAllocRelease(b *testing.B) {
+	b.ReportAllocs()
+	m := cluster.MustNew(cluster.DefaultConfig())
+	a := &cluster.Allocation{JobID: 1, Shares: []cluster.NodeShare{
+		{Node: 0, LocalMiB: 64 * 1024, RemoteMiB: 32 * 1024, Pool: 0},
+		{Node: 1, LocalMiB: 64 * 1024, RemoteMiB: 32 * 1024, Pool: 0},
+	}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Allocate(a); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Release(1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkMemAwarePlan measures one placement decision on a half-loaded
 // machine (the scheduler's inner loop).
-func BenchmarkMemAwarePlan(b *testing.B) { benchkit.MemAwarePlan(b) }
+func BenchmarkMemAwarePlan(b *testing.B) {
+	b.ReportAllocs()
+	m := cluster.MustNew(cluster.DefaultConfig())
+	// Occupy half the machine.
+	for i := 0; i < 128; i++ {
+		a := &cluster.Allocation{JobID: 1000 + i, Shares: []cluster.NodeShare{
+			{Node: cluster.NodeID(i * 2), LocalMiB: 32 * 1024, Pool: cluster.NoPool},
+		}}
+		if err := m.Allocate(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+	placer := core.New()
+	model := memmodel.Bandwidth{Beta: 1, Gamma: 1}
+	j := &workload.Job{ID: 1, Nodes: 16, MemPerNode: 96 * 1024, Estimate: 3600, BaseRuntime: 1800}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if placer.Plan(j, m, model) == nil {
+			b.Fatal("plan failed")
+		}
+	}
+}
 
-// BenchmarkConservativePass measures one conservative-backfill planning
-// pass (memaware-cons) over a 170-job queue on the Table 2 stressed
-// machine, reporting ns/pass and allocs/pass (0 in steady state).
-func BenchmarkConservativePass(b *testing.B) { benchkit.ConservativePass(b) }
+// BenchmarkConservativePass measures one conservative-backfill pass
+// (memaware-cons) on the Table 2 stressed machine: 64 GiB/node, 2 TiB
+// rack pools, 8 GiB/s fabric. 40 jobs of the Table 2 workload run and
+// the next 170 wait, about what that sweep's passes see, and a filler
+// job holds the remaining nodes. No queued job fits now, so every pass
+// plans the first MaxReservations jobs into the capacity profile,
+// starts nothing and leaves the machine as it was; in steady state a
+// pass allocates nothing. It reports ns/pass and allocs/pass.
+func BenchmarkConservativePass(b *testing.B) {
+	const running, queued, now = 40, 170, 1 << 20
+	cfg := cluster.DefaultConfig()
+	cfg.PoolMiB = 2048 * 1024
+	cfg.FabricGiBps = 8
+	m := cluster.MustNew(cfg)
+	model := memmodel.Bandwidth{Beta: 1, Gamma: 1}
+	pol, err := spec.Parse("memaware-cons")
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	wl := workload.MustGenerate(workload.DefaultGenConfig(2000, 1, cfg.TotalNodes()))
+	ctx := &sched.Context{Now: now, Machine: m, Model: model, ExtendLimit: true}
+	placer := core.New()
+	start := func(j *workload.Job) bool {
+		p := placer.Plan(j, m, model)
+		if p == nil {
+			return false
+		}
+		alloc, err := m.AllocateCopy(p.Alloc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Half-way through its limit, so the releases spread over the
+		// next few hours.
+		ctx.Running = append(ctx.Running, sched.RunningJob{Job: j, Start: now - j.Estimate/2, Limit: j.Estimate, Alloc: alloc})
+		return true
+	}
+	for _, j := range wl.Jobs {
+		if len(ctx.Running) < running && start(j) {
+			continue
+		}
+		if ctx.Queue = append(ctx.Queue, j); len(ctx.Queue) == queued {
+			break
+		}
+	}
+	filler := &workload.Job{ID: len(wl.Jobs) + 1, Nodes: m.FreeNodes(), MemPerNode: 1024, Estimate: 3600, BaseRuntime: 3600}
+	if filler.Nodes > 0 && !start(filler) {
+		b.Fatal("filler job did not fit the free nodes")
+	}
+	if len(ctx.Running) < running || len(ctx.Queue) != queued {
+		b.Fatalf("fixture has %d running, %d queued", len(ctx.Running), len(ctx.Queue))
+	}
+	byEnd := ctx.ByEnd()
+	ctx.ByEndFn = func() []sched.RunningJob { return byEnd }
+
+	pass := func() {
+		ctx.Reset()
+		if d := pol.Pass(ctx); len(d) != 0 {
+			b.Fatalf("pass started %d jobs on a full machine", len(d))
+		}
+	}
+	pass() // grow the scheduler's scratch to its steady-state size
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(0, "ns/op") // one op is one pass: report it as ns/pass
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/pass")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(b.N), "allocs/pass")
+}
 
 // BenchmarkWorkloadGenerate measures synthetic trace generation.
 func BenchmarkWorkloadGenerate(b *testing.B) {
@@ -123,64 +245,207 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 	}
 }
 
+// --- end-to-end runs of the headline workload ------------------------------
+
+// benchJobs is the headline workload size: the end-to-end benchmarks
+// simulate benchJobs jobs per iteration, and the checkpoint benchmarks
+// freeze that run at its midpoint.
+const benchJobs = 1000
+
+// headline is the headline run: the full memaware stack under the
+// contention-sensitive model.
+func headline(wl *dismem.Workload) dismem.Options {
+	return dismem.Options{Policy: "memaware", Model: "bandwidth:1,1", Workload: wl}
+}
+
+// benchRuns times run, one benchJobs-job simulation per call, and
+// reports jobs/s, allocs/job and B/job. allocs/job is the number the
+// alloc-budget tests bound: allocs/op and B/op scale with the workload
+// size, so the per-job form is what stays comparable across benchmarks
+// and across workload-size changes.
+func benchRuns(b *testing.B, run func() (*dismem.Result, error)) {
+	b.ReportAllocs()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs, total := ms.Mallocs, ms.TotalAlloc
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Report.Jobs() == 0 {
+			b.Fatal("no jobs ran")
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	n := float64(benchJobs) * float64(b.N)
+	b.ReportMetric(n/b.Elapsed().Seconds(), "jobs/s")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/n, "allocs/job")
+	b.ReportMetric(float64(ms.TotalAlloc-total)/n, "B/job")
+}
+
 // BenchmarkSimulation measures end-to-end simulated-jobs-per-second for
-// the full memaware stack under the contention-sensitive model.
-func BenchmarkSimulation(b *testing.B) { benchkit.Simulation(b) }
+// the headline run. It runs through the steppable Simulation handle
+// (Simulate is New plus Run), so the number also guards the handle's
+// and the unused observer hooks' overhead: ~nothing.
+func BenchmarkSimulation(b *testing.B) {
+	opts := headline(dismem.SyntheticWorkload(benchJobs, 1))
+	benchRuns(b, func() (*dismem.Result, error) { return dismem.Simulate(opts) })
+}
 
 // BenchmarkBatchSimulation is BenchmarkSimulation on the batched
-// multi-run path: one Runner per benchmark, machine and pools recycled
-// between runs (see dismem.Runner).
-func BenchmarkBatchSimulation(b *testing.B) { benchkit.BatchSimulation(b) }
+// multi-run path: one Runner executes the headline run per iteration,
+// so every run after the first reuses the previous run's machine (reset
+// in place), DES event pool and engine scratch instead of rebuilding
+// them. The jobs/s gap to BenchmarkSimulation is what dismem.Runner,
+// and the sweep worker pool built on it, saves per run; results stay
+// bit-identical to fresh construction (TestRunnerMatchesLoopOfSimulate).
+func BenchmarkBatchSimulation(b *testing.B) {
+	opts := headline(dismem.SyntheticWorkload(benchJobs, 1))
+	r := dismem.NewRunner()
+	benchRuns(b, func() (*dismem.Result, error) { return r.Run(opts) })
+}
 
 // BenchmarkScenarioSimulation is BenchmarkSimulation with an active
-// intervention timeline (rack outage + diurnal cycle), guarding the
-// scenario subsystem's end-to-end overhead.
-func BenchmarkScenarioSimulation(b *testing.B) { benchkit.ScenarioSimulation(b) }
+// intervention timeline: a 12-hour rack outage plus a diurnal arrival
+// cycle. It measures the scenario subsystem's end-to-end overhead: the
+// arrival time-warp, the intervention events, the kill/resubmit churn,
+// and the extra scheduling passes they trigger.
+func BenchmarkScenarioSimulation(b *testing.B) {
+	opts := headline(dismem.SyntheticWorkload(benchJobs, 1))
+	var err error
+	opts.Scenario, err = dismem.ParseScenario(
+		"at=21600 down rack=2; at=64800 up rack=2; from=0 period=86400 amp=0.4 diurnal")
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRuns(b, func() (*dismem.Result, error) {
+		res, err := dismem.Simulate(opts)
+		if err == nil && res.ScenarioEvents == 0 {
+			err = errors.New("scenario run applied no interventions")
+		}
+		return res, err
+	})
+}
 
-// BenchmarkSeriesSampling is BenchmarkSimulation with the sampling tick
-// chain armed (600 s period) and every sample JSON-encoded to a
-// discarded series stream: the full end-to-end price of -series-out.
-// `go run ./cmd/dmbench -series` records it, with Simulation as the
-// sampling-off reference, as BENCH_<date>_series.json.
-func BenchmarkSeriesSampling(b *testing.B) { benchkit.SeriesSampling(b) }
+// BenchmarkSeriesSampling measures the price of live observation: the
+// headline run with the sampling tick chain armed at a
+// 600-simulated-second period and every sample encoded to a discarded
+// JSONL series stream. The jobs/s gap to BenchmarkSimulation (which
+// never arms the chain) is the full cost of -series-out at this
+// sampling rate: tick events, usage snapshots and JSON encoding.
+func BenchmarkSeriesSampling(b *testing.B) {
+	opts := headline(dismem.SyntheticWorkload(benchJobs, 1))
+	opts.SampleEvery = 600
+	samples := 0
+	benchRuns(b, func() (*dismem.Result, error) {
+		lines := new(lineCounter)
+		opts.SeriesSink = dismem.NewJSONLSeriesSink(lines)
+		res, err := dismem.Simulate(opts)
+		if err == nil && *lines == 0 {
+			err = errors.New("no samples streamed")
+		}
+		samples += int(*lines)
+		return res, err
+	})
+	b.ReportMetric(float64(samples)/float64(b.N), "samples/run")
+}
 
-// BenchmarkTraceSimulation is BenchmarkSimulation with every lifecycle
-// trace event JSON-encoded to a discarded trace stream: the full
-// end-to-end price of -trace-out (tracing is event-driven, so no
-// sampling tick chain is armed). `go run ./cmd/dmbench -trace` records
-// it, with Simulation as the nil-sink reference, as
-// BENCH_<date>_trace.json.
-func BenchmarkTraceSimulation(b *testing.B) { benchkit.TraceSimulation(b) }
+// lineCounter counts JSONL lines on their way to the void.
+type lineCounter int
 
-// BenchmarkStreamingReplay measures bounded-memory trace replay: a
-// 100k-job SWF trace streamed through SWFSource with the
-// online-aggregate sink, reporting jobs/s and the live-heap high-water
-// mark (peakheap-MB). `go run ./cmd/dmbench -stream` runs this and the
-// 1M-job variant and records BENCH_<date>_stream.json; the 1M peak
-// heap staying within 2x of the 100k one is the subsystem's memory
-// contract (DESIGN.md §7).
-func BenchmarkStreamingReplay(b *testing.B) { benchkit.StreamingReplay100k(b) }
+// Write implements io.Writer.
+func (c *lineCounter) Write(p []byte) (int, error) {
+	*c += lineCounter(bytes.Count(p, []byte{'\n'}))
+	return len(p), nil
+}
 
-// BenchmarkFig11OutageSeverity regenerates the outage-severity sweep.
-func BenchmarkFig11OutageSeverity(b *testing.B) { benchExperiment(b, "fig11") }
+// --- checkpoints ----------------------------------------------------------
 
-// BenchmarkCheckpointFork measures checkpoint+fork of a mid-trace
-// simulation (state cloning only, the forked future is not run): the
-// per-variant overhead of shared-prefix what-if studies. `go run
-// ./cmd/dmbench -fork` records it as BENCH_<date>_fork.json.
-func BenchmarkCheckpointFork(b *testing.B) { benchkit.CheckpointFork(b) }
+// midTrace returns the headline run advanced to its submit-time
+// midpoint, the fixture of the checkpoint benchmarks.
+func midTrace(b *testing.B) *dismem.Simulation {
+	b.Helper()
+	wl := dismem.SyntheticWorkload(benchJobs, 1)
+	h, err := dismem.New(headline(wl))
+	if err != nil {
+		b.Fatal(err)
+	}
+	h.RunUntil(wl.Jobs[len(wl.Jobs)/2].Submit)
+	return h
+}
 
-// BenchmarkCheckpointEncode / BenchmarkCheckpointDecode measure the
-// durable checkpoint envelope (SaveCheckpoint/LoadCheckpoint): encode
-// and verified decode throughput in MB/s plus the fixture's envelope
-// size in bytes/ckpt. `go run ./cmd/dmbench -ckptio` records both as
-// BENCH_<date>_ckptio.json.
-func BenchmarkCheckpointEncode(b *testing.B) { benchkit.CheckpointEncode(b) }
-func BenchmarkCheckpointDecode(b *testing.B) { benchkit.CheckpointDecode(b) }
+// midTraceEnvelope returns the mid-trace checkpoint and its durable
+// envelope.
+func midTraceEnvelope(b *testing.B) (*dismem.Checkpoint, []byte) {
+	b.Helper()
+	cp, err := midTrace(b).Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := dismem.SaveCheckpoint(&buf, cp); err != nil {
+		b.Fatal(err)
+	}
+	return cp, buf.Bytes()
+}
 
-// BenchmarkServeQueries measures the serving layer end to end:
-// concurrent short-horizon /v1/whatif queries against a completed
-// baseline's checkpoint ring, reporting queries/s and p50/p99
-// fork-to-response latency. `go run ./cmd/dmbench -serve` records it
-// as BENCH_<date>_serve.json.
-func BenchmarkServeQueries(b *testing.B) { benchkit.ServeQueries(b) }
+// BenchmarkCheckpointFork measures checkpoint+fork of the mid-trace
+// run (state cloning only, the forked future is not run): the cost a
+// what-if study pays per variant on top of simulating the divergent
+// suffix. The forks/s metric makes the comparison with a full prefix
+// re-simulation direct.
+func BenchmarkCheckpointFork(b *testing.B) {
+	b.ReportAllocs()
+	h := midTrace(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cp, err := h.Checkpoint()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := dismem.Fork(cp, dismem.ForkOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "forks/s")
+}
+
+// BenchmarkCheckpointEncode measures SaveCheckpoint throughput: the
+// mid-trace checkpoint is serialized to its durable envelope (magic,
+// version, schema fingerprint, JSON payload, SHA-256 digest) per
+// iteration. It reports MB/s of envelope produced and bytes/ckpt, the
+// envelope size, which is the number to watch for accidental state
+// blowup.
+func BenchmarkCheckpointEncode(b *testing.B) {
+	b.ReportAllocs()
+	cp, env := midTraceEnvelope(b)
+	var buf bytes.Buffer
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := dismem.SaveCheckpoint(&buf, cp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(env))*float64(b.N)/1e6/b.Elapsed().Seconds(), "MB/s")
+	b.ReportMetric(float64(len(env)), "bytes/ckpt")
+}
+
+// BenchmarkCheckpointDecode measures LoadCheckpoint throughput on the
+// same envelope: digest verification, strict JSON decode, and full
+// engine state validation per iteration.
+func BenchmarkCheckpointDecode(b *testing.B) {
+	b.ReportAllocs()
+	_, env := midTraceEnvelope(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dismem.LoadCheckpoint(bytes.NewReader(env)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(env))*float64(b.N)/1e6/b.Elapsed().Seconds(), "MB/s")
+	b.ReportMetric(float64(len(env)), "bytes/ckpt")
+}

@@ -36,6 +36,9 @@ func main() {
 		summary  = flag.Bool("summary", false, "print a workload summary to stderr")
 	)
 	flag.Parse()
+	if *stream < 0 {
+		fatalf("-n is %d; want >= 0 (0 generates -jobs jobs in memory)", *stream)
+	}
 
 	// Validate the model and generator configuration — and materialise
 	// the workload, on the batch path — before touching -o, so a bad

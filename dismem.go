@@ -110,7 +110,6 @@ import (
 	"sort"
 
 	"dismem/internal/cluster"
-	"dismem/internal/core"
 	"dismem/internal/memmodel"
 	"dismem/internal/metrics"
 	"dismem/internal/scenario"
@@ -520,23 +519,4 @@ func RegisterPlacer(name string, factory func() Placer) error {
 		return fmt.Errorf("dismem: %w", err)
 	}
 	return nil
-}
-
-// NewSchedulerWithCap builds the memaware policy with a custom slowdown
-// cap, for sensitivity sweeps.
-//
-// Deprecated: use a policy spec instead, e.g.
-// ParsePolicy("placer=memaware cap=1.2") — the spec grammar composes
-// the cap with any order, backfill, and patience setting.
-func NewSchedulerWithCap(slowdownCap float64) Scheduler {
-	s, err := ParsePolicy(fmt.Sprintf("placer=memaware name=memaware(cap=%.2g)", slowdownCap))
-	if err != nil {
-		panic(fmt.Sprintf("dismem: building capped memaware: %v", err))
-	}
-	// Set the cap after parsing: unlike the grammar's cap= term, this
-	// legacy constructor historically accepted any float (a sub-1 cap
-	// admits no remote placement at all, which some sensitivity sweeps
-	// probe deliberately).
-	s.(*sched.Batch).Placer.(*core.MemAware).SlowdownCap = slowdownCap
-	return s
 }

@@ -17,11 +17,11 @@ import (
 // taken, and Fork only reads it (everything handed to a new future is
 // deep-copied first), so any number of goroutines may Fork the same
 // Checkpoint simultaneously with no external locking — the property
-// the serving layer's concurrent what-if queries (internal/serve) and
-// sweep.ForkFrom's parallel fan-out rely on, pinned by a -race test
-// that requires 8 concurrent forks to be bit-identical to a serial
-// one. The single exception is a run built with Options.SchedulerImpl:
-// its forks share that live scheduler instance (see Fork).
+// the serving layer's concurrent what-if queries (internal/serve) rely
+// on, pinned by a -race test that requires 8 concurrent forks to be
+// bit-identical to a serial one. The single exception is a run built
+// with Options.SchedulerImpl: its forks share that live scheduler
+// instance (see Fork).
 //
 // Determinism contract (DESIGN.md §8): a fork taken with zero
 // ForkOptions replays exactly the future the parent would have run —

@@ -128,17 +128,3 @@ func TestRestoreRejectsPastEvents(t *testing.T) {
 		t.Fatal("Restore accepted an event before the clock, want error")
 	}
 }
-
-// TestReschedulePreservesKind pins that Reschedule carries the tag and
-// payload to the new event, keeping rescheduled events checkpointable.
-func TestReschedulePreservesKind(t *testing.T) {
-	s := New()
-	e := s.ScheduleKind(10, 3, "payload", func(Time, any) {})
-	ne := s.Reschedule(e, 20)
-	if ne.Kind() != 3 || ne.Data() != "payload" {
-		t.Fatalf("rescheduled event kind=%d data=%v, want 3/payload", ne.Kind(), ne.Data())
-	}
-	if _, err := s.Snapshot(); err != nil {
-		t.Fatalf("Snapshot after Reschedule: %v", err)
-	}
-}

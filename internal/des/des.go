@@ -75,10 +75,6 @@ func (e *Event) Kind() Kind { return e.kind }
 // Data returns the serializable payload attached at schedule time.
 func (e *Event) Data() any { return e.data }
 
-// Cancelled reports whether the event has been removed from the queue
-// (either cancelled or already fired).
-func (e *Event) Cancelled() bool { return e.index < 0 }
-
 // eventHeap orders events by (time, band, seq): earlier bands fire
 // before later bands at the same instant, and scheduling order breaks
 // ties within a band.
@@ -177,18 +173,6 @@ func (s *Simulator) Schedule(at Time, handler Handler) *Event {
 	return s.schedule(at, 0, handler)
 }
 
-// ScheduleFront enqueues handler to run at absolute time at, ahead of
-// every event Schedule has queued (or will queue) for the same instant.
-// Among ScheduleFront events at one instant, scheduling order still
-// breaks ties. The engine uses this for streamed job arrivals: with one
-// pending arrival at a time, front scheduling reproduces exactly the
-// firing order of the historical design that pre-scheduled every
-// arrival first (lowest sequence numbers), keeping streamed replays
-// bit-identical to slice replays.
-func (s *Simulator) ScheduleFront(at Time, handler Handler) *Event {
-	return s.schedule(at, -1, handler)
-}
-
 // ScheduleKind is Schedule with a kind tag and a serializable payload,
 // making the event snapshot-able (see Snapshot/Restore). The payload
 // must be enough, together with the kind, for the scheduling layer to
@@ -199,7 +183,14 @@ func (s *Simulator) ScheduleKind(at Time, kind Kind, data any, handler Handler) 
 	return e
 }
 
-// ScheduleFrontKind is ScheduleFront with a kind tag and payload.
+// ScheduleFrontKind is ScheduleKind in the front band: the event fires
+// ahead of every event ScheduleKind has queued (or will queue) for the
+// same instant. Among front events at one instant, scheduling order
+// still breaks ties. The engine uses this for streamed job arrivals:
+// with one pending arrival at a time, front scheduling reproduces
+// exactly the firing order of the historical design that pre-scheduled
+// every arrival first (lowest sequence numbers), keeping streamed
+// replays bit-identical to slice replays.
 func (s *Simulator) ScheduleFrontKind(at Time, kind Kind, data any, handler Handler) *Event {
 	e := s.schedule(at, -1, handler)
 	e.kind, e.data = kind, data
@@ -227,14 +218,6 @@ func (s *Simulator) schedule(at Time, band int8, handler Handler) *Event {
 	return e
 }
 
-// ScheduleDelta enqueues handler to run delta seconds from now.
-func (s *Simulator) ScheduleDelta(delta Time, handler Handler) *Event {
-	if delta < 0 {
-		panic(fmt.Sprintf("des: negative delta %d", delta))
-	}
-	return s.Schedule(s.now+delta, handler)
-}
-
 // Cancel removes a pending event and recycles it: the handle is dead
 // afterwards and the caller must drop it. Cancelling a handle that was
 // already dead (fired or cancelled) and not yet reused is still a
@@ -247,22 +230,6 @@ func (s *Simulator) Cancel(e *Event) {
 	}
 	heap.Remove(&s.queue, e.index)
 	s.recycle(e)
-}
-
-// Reschedule moves a pending event to a new time, preserving FIFO
-// fairness at the new instant (it is assigned a fresh sequence number,
-// in the default band). The kind tag and payload carry over. The old
-// handle is dead; use only the returned one. The event must still be
-// pending: a fired or cancelled handle has been recycled (its handler
-// is gone, and the struct may already back an unrelated event), so
-// rescheduling one panics or corrupts the queue — callers that want
-// fire-again semantics re-Schedule instead.
-func (s *Simulator) Reschedule(e *Event, at Time) *Event {
-	h, k, d := e.handler, e.kind, e.data
-	s.Cancel(e)
-	ne := s.Schedule(at, h)
-	ne.kind, ne.data = k, d
-	return ne
 }
 
 // Step fires the single earliest event. It returns false when the queue

@@ -60,8 +60,8 @@ func TestScheduleDuringHandler(t *testing.T) {
 	var fired []Time
 	s.Schedule(1, func(now Time, _ any) {
 		fired = append(fired, now)
-		s.ScheduleDelta(4, func(now Time, _ any) { fired = append(fired, now) })
-		s.ScheduleDelta(0, func(now Time, _ any) { fired = append(fired, now) })
+		s.Schedule(now+4, func(now Time, _ any) { fired = append(fired, now) })
+		s.Schedule(now, func(now Time, _ any) { fired = append(fired, now) })
 	})
 	s.RunAll()
 	want := []Time{1, 1, 5}
@@ -81,8 +81,8 @@ func TestCancel(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after cancel")
+	if s.Pending() != 0 {
+		t.Fatalf("Pending() = %d after cancel, want 0", s.Pending())
 	}
 	// Cancelling again (and cancelling nil) must be harmless no-ops.
 	s.Cancel(e)
@@ -102,14 +102,19 @@ func TestCancelOneOfSameTime(t *testing.T) {
 	}
 }
 
-func TestReschedule(t *testing.T) {
+func TestPendingCount(t *testing.T) {
 	s := New()
-	var at Time
-	e := s.Schedule(3, func(now Time, _ any) { at = now })
-	s.Reschedule(e, 8)
-	s.RunAll()
-	if at != 8 {
-		t.Fatalf("rescheduled event fired at %d, want 8", at)
+	if s.Pending() != 0 {
+		t.Fatalf("fresh simulator has %d pending", s.Pending())
+	}
+	e1 := s.Schedule(1, func(Time, any) {})
+	s.Schedule(2, func(Time, any) {})
+	if s.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2", s.Pending())
+	}
+	s.Cancel(e1)
+	if s.Pending() != 1 {
+		t.Fatalf("Pending after cancel = %d, want 1", s.Pending())
 	}
 }
 
@@ -168,15 +173,6 @@ func TestNilHandlerPanics(t *testing.T) {
 		}
 	}()
 	New().Schedule(1, nil)
-}
-
-func TestNegativeDeltaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delta did not panic")
-		}
-	}()
-	New().ScheduleDelta(-1, func(Time, any) {})
 }
 
 func TestFiredCounter(t *testing.T) {

@@ -2,6 +2,10 @@ package des
 
 import "testing"
 
+// arrival tags the front-band events, as the engine tags streamed job
+// arrivals.
+const arrival Kind = 1
+
 func TestScheduleFrontFiresBeforeSameInstantEvents(t *testing.T) {
 	// Front events at one instant fire before default-band events at
 	// that instant, regardless of scheduling order; within each band,
@@ -12,9 +16,9 @@ func TestScheduleFrontFiresBeforeSameInstantEvents(t *testing.T) {
 
 	s.Schedule(10, mark("a"))
 	s.Schedule(10, mark("b"))
-	s.ScheduleFront(10, mark("x"))
+	s.ScheduleFrontKind(10, arrival, nil, mark("x"))
 	s.Schedule(10, mark("c"))
-	s.ScheduleFront(10, mark("y"))
+	s.ScheduleFrontKind(10, arrival, nil, mark("y"))
 	s.Schedule(5, mark("early"))
 
 	s.RunAll()
@@ -42,11 +46,11 @@ func TestScheduleFrontChainsAtOneInstant(t *testing.T) {
 		return func(Time, any) {
 			got = append(got, "arrival")
 			if n > 0 {
-				s.ScheduleFront(10, arrive(n-1))
+				s.ScheduleFrontKind(10, arrival, nil, arrive(n-1))
 			}
 		}
 	}
-	s.ScheduleFront(10, arrive(2))
+	s.ScheduleFrontKind(10, arrival, nil, arrive(2))
 	s.RunAll()
 	want := []string{"arrival", "arrival", "arrival", "pass"}
 	if len(got) != len(want) {

@@ -202,32 +202,6 @@ func (z *Zipf) Sample(r *RNG) int {
 	return lo + 1
 }
 
-// Poisson returns a Poisson-distributed integer with the given mean.
-// It uses Knuth's method for small means and a normal approximation with
-// continuity correction for large means, which is adequate for workload
-// generation purposes.
-func Poisson(r *RNG, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k, p := 0, 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	v := mean + math.Sqrt(mean)*r.NormFloat64() + 0.5
-	if v < 0 {
-		return 0
-	}
-	return int(v)
-}
-
 // gamma is the Gamma function via the Lanczos approximation, sufficient
 // for the distribution means reported in workload summaries.
 func gamma(x float64) float64 {

@@ -144,28 +144,3 @@ func TestZipfPanicsOnBadN(t *testing.T) {
 	}()
 	NewZipf(0, 1)
 }
-
-func TestPoissonMean(t *testing.T) {
-	r := NewRNG(6)
-	for _, mean := range []float64{0.5, 3, 12, 80} {
-		var o Online
-		for i := 0; i < 50000; i++ {
-			o.Add(float64(Poisson(r, mean)))
-		}
-		if math.Abs(o.Mean()-mean)/mean > 0.05 {
-			t.Fatalf("Poisson(%g) sample mean %g", mean, o.Mean())
-		}
-	}
-}
-
-func TestPoissonNonNegative(t *testing.T) {
-	r := NewRNG(7)
-	if Poisson(r, 0) != 0 || Poisson(r, -5) != 0 {
-		t.Fatal("Poisson of non-positive mean must be 0")
-	}
-	for i := 0; i < 10000; i++ {
-		if Poisson(r, 100) < 0 {
-			t.Fatal("negative Poisson sample")
-		}
-	}
-}

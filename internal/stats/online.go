@@ -30,37 +30,6 @@ func (o *Online) Add(x float64) {
 	o.m2 += delta * (x - o.mean)
 }
 
-// AddN incorporates the same observation n times (used for weighted
-// tallies such as "n jobs of identical size").
-func (o *Online) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		o.Add(x)
-	}
-}
-
-// Merge combines another accumulator into this one (Chan et al. parallel
-// variance formula), enabling per-shard statistics to be reduced.
-func (o *Online) Merge(b *Online) {
-	if b.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *b
-		return
-	}
-	delta := b.mean - o.mean
-	n := o.n + b.n
-	o.m2 += b.m2 + delta*delta*float64(o.n)*float64(b.n)/float64(n)
-	o.mean += delta * float64(b.n) / float64(n)
-	if b.min < o.min {
-		o.min = b.min
-	}
-	if b.max > o.max {
-		o.max = b.max
-	}
-	o.n = n
-}
-
 // N returns the number of observations.
 func (o *Online) N() int64 { return o.n }
 
@@ -87,12 +56,3 @@ func (o *Online) Max() float64 { return o.max }
 
 // Sum returns mean*n, the total of all observations.
 func (o *Online) Sum() float64 { return o.mean * float64(o.n) }
-
-// CV returns the coefficient of variation (stddev/mean), or 0 when the
-// mean is 0.
-func (o *Online) CV() float64 {
-	if o.mean == 0 {
-		return 0
-	}
-	return o.Std() / o.mean
-}

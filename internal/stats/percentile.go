@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -47,97 +46,4 @@ func percentileSorted(s []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// CDFPoint is one point of an empirical cumulative distribution.
-type CDFPoint struct {
-	X float64 // value
-	P float64 // fraction of observations <= X
-}
-
-// CDF returns the empirical CDF of xs subsampled to at most maxPoints
-// evenly spaced quantiles (all points if maxPoints <= 0 or the data is
-// smaller). The result is sorted by X.
-func CDF(xs []float64, maxPoints int) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if maxPoints <= 0 || n <= maxPoints {
-		out := make([]CDFPoint, n)
-		for i, v := range s {
-			out[i] = CDFPoint{X: v, P: float64(i+1) / float64(n)}
-		}
-		return out
-	}
-	out := make([]CDFPoint, maxPoints)
-	for i := 0; i < maxPoints; i++ {
-		idx := (i + 1) * n / maxPoints
-		if idx > n {
-			idx = n
-		}
-		out[i] = CDFPoint{X: s[idx-1], P: float64(idx) / float64(n)}
-	}
-	return out
-}
-
-// Histogram counts observations into fixed-width bins over [Lo, Hi).
-// Observations outside the range are clamped into the first/last bin so
-// no sample is silently dropped.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins on [lo,hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram [%g,%g) x%d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// Mean returns the histogram-approximated mean using bin centers.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	acc := 0.0
-	for i, c := range h.Counts {
-		acc += float64(c) * h.BinCenter(i)
-	}
-	return acc / float64(h.total)
 }

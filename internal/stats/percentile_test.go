@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -76,87 +75,4 @@ func TestPercentileMonotone(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestCDFFull(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	pts := CDF(xs, 0)
-	if len(pts) != 4 {
-		t.Fatalf("got %d points, want 4", len(pts))
-	}
-	wantX := []float64{1, 2, 3, 4}
-	wantP := []float64{0.25, 0.5, 0.75, 1}
-	for i, pt := range pts {
-		if pt.X != wantX[i] || pt.P != wantP[i] {
-			t.Fatalf("point %d = %+v, want {%g %g}", i, pt, wantX[i], wantP[i])
-		}
-	}
-}
-
-func TestCDFSubsampled(t *testing.T) {
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	pts := CDF(xs, 10)
-	if len(pts) != 10 {
-		t.Fatalf("got %d points, want 10", len(pts))
-	}
-	if pts[len(pts)-1].P != 1 {
-		t.Fatalf("last CDF point P = %g, want 1", pts[len(pts)-1].P)
-	}
-	if !sort.SliceIsSorted(pts, func(i, j int) bool { return pts[i].X < pts[j].X }) {
-		t.Fatal("CDF points not sorted by X")
-	}
-}
-
-func TestCDFEmpty(t *testing.T) {
-	if CDF(nil, 10) != nil {
-		t.Fatal("CDF of empty input must be nil")
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0.5, 1, 2.5, 9.9, -3, 42} { // includes clamps
-		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d, want 6", h.Total())
-	}
-	if h.Counts[0] != 3 { // 0.5, 1, -3(clamped)
-		t.Fatalf("bin 0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9.9, 42(clamped)
-		t.Fatalf("bin 4 = %d, want 2", h.Counts[4])
-	}
-	if c := h.BinCenter(0); c != 1 {
-		t.Fatalf("BinCenter(0) = %g, want 1", c)
-	}
-	if f := h.Fraction(0); math.Abs(f-0.5) > 1e-12 {
-		t.Fatalf("Fraction(0) = %g, want 0.5", f)
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5) // exactly the bin centers
-	}
-	if m := h.Mean(); math.Abs(m-5) > 1e-12 {
-		t.Fatalf("Mean = %g, want 5", m)
-	}
-	empty := NewHistogram(0, 1, 2)
-	if empty.Mean() != 0 || empty.Fraction(0) != 0 {
-		t.Fatal("empty histogram mean/fraction must be 0")
-	}
-}
-
-func TestHistogramPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram(1, 0, 3) did not panic")
-		}
-	}()
-	NewHistogram(1, 0, 3)
 }

@@ -132,16 +132,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // Shuffle pseudo-randomises the order of n elements using swap, with the
 // Fisher-Yates algorithm.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -95,24 +94,6 @@ func TestUint64nUniformity(t *testing.T) {
 		if math.Abs(float64(c)-want)/want > 0.03 {
 			t.Fatalf("bucket %d: %d draws, want ~%.0f ±3%%", b, c, want)
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(9)
-	check := func(n uint8) bool {
-		p := r.Perm(int(n))
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= int(n) || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == int(n)
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -71,6 +71,9 @@ func RunAll(o Options) ([]*Table, error) {
 // not a programming bug, so it must not crash the process; other
 // errors from deterministic experiments keep panicking.
 func runFunc(f Func, o Options) (tables []*Table, err error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	defer func() {
 		r := recover()
 		if r == nil {

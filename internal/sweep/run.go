@@ -12,7 +12,6 @@ import (
 	"dismem/internal/metrics"
 	"dismem/internal/runstore"
 	"dismem/internal/sim"
-	"dismem/internal/trace"
 	"dismem/internal/workload"
 )
 
@@ -24,7 +23,8 @@ import (
 var ErrInterrupted = errors.New("sweep: interrupted")
 
 // Options scales an experiment. Zero values select the full evaluation
-// scale; benches pass reduced numbers.
+// scale; benches pass reduced numbers. Negative values are an error
+// (Run, RunAll and Cell.Run reject them).
 type Options struct {
 	// Jobs per simulation (default 8000).
 	Jobs int
@@ -32,7 +32,7 @@ type Options struct {
 	Seeds int
 	// Workers caps how many (cell, seed) simulation units run
 	// concurrently (default GOMAXPROCS). A unit is one seed of a
-	// Cell.Run, a Cell.CheckpointAt prefix or a Cell.ForkFrom future.
+	// Cell.Run.
 	Workers int
 	// Retries is the per-unit retry budget after a panic inside a unit
 	// (default 1, i.e. up to two attempts). A unit that keeps panicking
@@ -46,8 +46,8 @@ type Options struct {
 	// "sweep-unit" run record at the cell's barrier, once its seeds
 	// drain. Records are appended in seed order and carry no wall-clock
 	// state, so a resumed sweep archives byte-identical records to an
-	// uninterrupted one. Cells holding live code (Scheduler, StopWhen,
-	// Series, Trace) have no durable identity and are skipped.
+	// uninterrupted one. Cells holding live code (Scheduler, StopWhen)
+	// have no durable identity and are skipped.
 	Store *runstore.Store
 	// Resume serves every unit already archived in Store from its record
 	// instead of re-running it — the crash-safe resume behind dmsweep
@@ -62,6 +62,20 @@ type Options struct {
 	// concurrent use (dmsweep feeds an atomic /metrics progress counter
 	// with it). It observes progress only — it cannot fail the sweep.
 	UnitDone func()
+}
+
+// validate rejects a negative scale, naming the field: zero selects the
+// default, and a negative value is a mistake, never a request for it.
+func (o Options) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Jobs", o.Jobs}, {"Seeds", o.Seeds}, {"Workers", o.Workers}, {"Retries", o.Retries}} {
+		if f.v < 0 {
+			return fmt.Errorf("sweep: Options.%s is %d; want >= 0 (0 selects the default)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -131,21 +145,9 @@ type Cell struct {
 	// must be safe for concurrent use (stateless, or synchronised).
 	// Like Scheduler, StopWhen makes the cell's units uncacheable.
 	StopWhen func(dismem.Sample) bool
-	// SampleEvery is the sampling period for StopWhen and Series in
-	// simulated seconds (default 3600).
+	// SampleEvery is the sampling period for StopWhen in simulated
+	// seconds (default 3600).
 	SampleEvery int64
-	// Series, when set, attaches a utilization-series sink to each
-	// seed's simulation (dismem.NewJSONLSeriesSink over a per-seed
-	// file, say). Sinks are live writers, so cells with Series are
-	// never archived to a Store — like Scheduler and StopWhen, the cell
-	// holds live code.
-	Series func(seed int) metrics.SeriesSink
-	// Trace, when set, attaches a lifecycle-trace sink to each seed's
-	// simulation (dismem.NewJSONLTraceSink over a per-seed file, say).
-	// Tracing is event-driven — it needs no SampleEvery. Like Series,
-	// a Trace factory is live code: the cell's units are never
-	// archived to a Store.
-	Trace func(seed int) trace.TraceSink
 }
 
 // abortObserver stops its simulation at the first sample matching the
@@ -217,6 +219,9 @@ type seedOut struct {
 // from the store instead of re-run; with a cancelled Ctx, Run returns
 // ErrInterrupted.
 func (c Cell) Run(o Options) (Agg, error) {
+	if err := o.validate(); err != nil {
+		return Agg{}, err
+	}
 	o = o.withDefaults()
 	mc := c.machine()
 
@@ -343,8 +348,8 @@ func seedOutFromRun(run runstore.Run) seedOut {
 }
 
 // errNotCacheable marks a unit whose cell cannot be described by data
-// alone (custom Scheduler factory, StopWhen predicate, Series or Trace
-// sink factory); such units always run live and are never archived.
+// alone (custom Scheduler factory or StopWhen predicate); such units
+// always run live and are never archived.
 var errNotCacheable = errors.New("sweep: cell holds live code; unit not cacheable")
 
 // unitSpec is the canonical, data-only description of one (cell, seed)
@@ -386,11 +391,11 @@ func (c Cell) unitSpecs(o Options, mc dismem.MachineConfig) [][]byte {
 
 // unitSpecJSON builds the canonical configuration JSON for seed s of
 // the cell — the identity preimage of its run-store record — or
-// errNotCacheable when the cell holds live code (Scheduler factory,
-// StopWhen predicate, Series or Trace sink factory) or a workload
-// distribution with no serializable state.
+// errNotCacheable when the cell holds live code (Scheduler factory or
+// StopWhen predicate) or a workload distribution with no serializable
+// state.
 func (c Cell) unitSpecJSON(o Options, mc dismem.MachineConfig, s int) ([]byte, error) {
-	if c.Scheduler != nil || c.StopWhen != nil || c.Series != nil || c.Trace != nil {
+	if c.Scheduler != nil || c.StopWhen != nil {
 		return nil, errNotCacheable
 	}
 	gs, err := workload.GenConfigToState(c.seedGen(o, mc, s))
@@ -515,8 +520,11 @@ func (c Cell) seedFailures(s int) *sim.FailureConfig {
 }
 
 // newSeed builds seed s's run on runner r: the cell's configuration
-// plus the seed's workload and failure stream, with the cell's outputs
-// attached by startSeed.
+// plus the seed's workload and failure stream. With StopWhen, or a
+// cancellable sweep context, the run carries the abort observer,
+// sampled every SampleEvery simulated seconds (default 3600) and wired
+// to the returned handle; no event fires before that, since
+// construction only primes the event queue.
 func (c Cell) newSeed(o Options, mc dismem.MachineConfig, s int, r *dismem.Runner) (*dismem.Simulation, error) {
 	wl, err := cachedWorkload(c.seedGen(o, mc, s))
 	if err != nil {
@@ -537,41 +545,15 @@ func (c Cell) newSeed(o Options, mc dismem.MachineConfig, s int, r *dismem.Runne
 	if c.Scheduler != nil {
 		opts.SchedulerImpl = c.Scheduler()
 	}
-	return c.startSeed(o, s, func(out dismem.Options) (*dismem.Simulation, error) {
-		opts.Observer, opts.SampleEvery = out.Observer, out.SampleEvery
-		opts.SeriesSink, opts.TraceSink = out.SeriesSink, out.TraceSink
-		return r.NewSimulation(opts)
-	})
-}
-
-// startSeed builds seed s's run with start, which receives the cell's
-// outputs for that seed in the output fields of a dismem.Options: the
-// abort observer (with StopWhen, or a cancellable sweep context), the
-// Series and Trace sinks, and the sampling period they need (default
-// 3600). start must hand them straight to the constructor that owns
-// them (dismem.New and dismem.Fork close them on rejection). The abort
-// observer is wired to the handle start returns; no event fires before
-// that, since construction only primes the event queue.
-func (c Cell) startSeed(o Options, s int, start func(out dismem.Options) (*dismem.Simulation, error)) (*dismem.Simulation, error) {
-	var out dismem.Options
 	var abort *abortObserver
 	if c.StopWhen != nil || o.Ctx != nil {
 		abort = &abortObserver{stop: c.StopWhen, ctx: o.Ctx}
-		out.Observer = abort
-	}
-	if c.Series != nil {
-		out.SeriesSink = c.Series(s)
-	}
-	if c.Trace != nil {
-		out.TraceSink = c.Trace(s)
-	}
-	if abort != nil || c.Series != nil {
-		out.SampleEvery = c.SampleEvery
-		if out.SampleEvery <= 0 {
-			out.SampleEvery = 3600
+		opts.Observer, opts.SampleEvery = abort, c.SampleEvery
+		if opts.SampleEvery <= 0 {
+			opts.SampleEvery = 3600
 		}
 	}
-	h, err := start(out)
+	h, err := r.NewSimulation(opts)
 	if err != nil {
 		return nil, err
 	}

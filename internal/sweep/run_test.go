@@ -201,3 +201,40 @@ func TestRegistryRunReturnsInterrupted(t *testing.T) {
 		t.Fatalf("RunAll under cancelled ctx returned %v, want ErrInterrupted", err)
 	}
 }
+
+// TestNegativeScaleRejected: a negative Jobs, Seeds, Workers or Retries
+// is an error that names the field, from sweep.Run and Cell.Run alike,
+// never a silent run at the default scale.
+func TestNegativeScaleRejected(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"Jobs", func(o *Options) { o.Jobs = -5 }},
+		{"Seeds", func(o *Options) { o.Seeds = -1 }},
+		{"Workers", func(o *Options) { o.Workers = -3 }},
+		{"Retries", func(o *Options) { o.Retries = -1 }},
+	}
+	runs := []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"sweep.Run", func(o Options) error { _, err := Run("table1", o); return err }},
+		{"Cell.Run", func(o Options) error { _, err := Cell{Policy: "memaware"}.Run(o); return err }},
+	}
+	for _, f := range fields {
+		for _, r := range runs {
+			t.Run(f.name+"/"+r.name, func(t *testing.T) {
+				o := Options{Jobs: 60, Seeds: 1, Workers: 1}
+				f.set(&o)
+				err := r.run(o)
+				if err == nil {
+					t.Fatalf("negative %s accepted", f.name)
+				}
+				if !strings.Contains(err.Error(), f.name) {
+					t.Fatalf("error %q does not name %s", err, f.name)
+				}
+			})
+		}
+	}
+}
