@@ -164,7 +164,10 @@ func BenchmarkMemAwarePlan(b *testing.B) {
 // job holds the remaining nodes. No queued job fits now, so every pass
 // plans the first MaxReservations jobs into the capacity profile,
 // starts nothing and leaves the machine as it was; in steady state a
-// pass allocates nothing. It reports ns/pass and allocs/pass.
+// pass allocates nothing. The passes alternate between the machine and
+// an identical clone, so none can resume the one before it (a resumed
+// pass with nothing new queued plans nothing): each timed pass is a
+// full pass. It reports ns/pass and allocs/pass.
 func BenchmarkConservativePass(b *testing.B) {
 	const running, queued, now = 40, 170, 1 << 20
 	cfg := cluster.DefaultConfig()
@@ -211,20 +214,23 @@ func BenchmarkConservativePass(b *testing.B) {
 	}
 	byEnd := ctx.ByEnd()
 	ctx.ByEndFn = func() []sched.RunningJob { return byEnd }
+	machines := [2]*cluster.Machine{m, m.Clone()}
 
-	pass := func() {
+	pass := func(i int) {
 		ctx.Reset()
+		ctx.Machine = machines[i%2]
 		if d := pol.Pass(ctx); len(d) != 0 {
 			b.Fatalf("pass started %d jobs on a full machine", len(d))
 		}
 	}
-	pass() // grow the scheduler's scratch to its steady-state size
+	pass(0) // grow the scheduler's scratch to its steady-state size
+	pass(1)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocs := ms.Mallocs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pass()
+		pass(i)
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&ms)

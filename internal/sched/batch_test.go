@@ -43,14 +43,6 @@ func timedJob(id, nodes int, mem, estimate int64) *workload.Job {
 	}
 }
 
-func dispatchIDs(ds []Dispatch) []int {
-	out := make([]int, len(ds))
-	for i, d := range ds {
-		out[i] = d.Job.ID
-	}
-	return out
-}
-
 func TestBackfillNoneBlocksBehindHead(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(0))
 	b := &Batch{Order: FCFS{}, Backfill: BackfillNone, Placer: LocalOnly{}}

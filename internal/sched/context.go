@@ -36,9 +36,12 @@ type Context struct {
 	Machine *cluster.Machine
 	Model   memmodel.Model
 	// Queue holds pending jobs in arrival order; schedulers reorder a
-	// copy according to their queue policy.
+	// copy according to their queue policy. Between passes the engine
+	// only appends to it (arrivals and requeued jobs) and removes the
+	// jobs the previous pass dispatched, keeping the rest in order.
 	Queue []*workload.Job
-	// Running holds dispatched jobs, unordered.
+	// Running holds the dispatched jobs in ascending job ID order. It
+	// is engine-owned state: read-only to the scheduler.
 	Running []RunningJob
 	// ExtendLimit mirrors the engine's limit rule: when true, a job
 	// placed with predicted dilation D gets limit = ceil(estimate*D)
@@ -46,9 +49,14 @@ type Context struct {
 	ExtendLimit bool
 	// ByEndFn, when set by the engine, returns Running sorted by
 	// (GuaranteedEnd, JobID) from incrementally maintained state, so a
-	// pass never re-sorts the running set. ByEnd falls back to sorting
-	// a copy when it is nil.
+	// pass never re-sorts the running set. The slice it returns is
+	// engine-owned state, read-only like Running. ByEnd falls back to
+	// sorting a copy when it is nil.
 	ByEndFn func() []RunningJob
+	// CheckInvariants mirrors the engine's check mode: a scheduler that
+	// takes incremental shortcuts also computes each such result the
+	// full way and panics on a difference (see Batch.Pass).
+	CheckInvariants bool
 
 	userRunning map[int]int
 	userBuilt   bool
@@ -67,21 +75,34 @@ func (c *Context) Reset() {
 	c.byEndValid = false
 }
 
-// RunningOfUser returns how many jobs of user are in the Running
-// snapshot (jobs dispatched during the current pass are not counted).
+// RunningOfUser returns how many jobs of user are running: those in
+// the Running snapshot plus those a Batch pass has committed so far.
 // The per-user counts are built once per pass, so per-job throttling
 // checks are O(1) instead of O(running).
 func (c *Context) RunningOfUser(user int) int {
-	if !c.userBuilt {
-		if c.userRunning == nil {
-			c.userRunning = make(map[int]int, len(c.Running))
-		}
-		for i := range c.Running {
-			c.userRunning[c.Running[i].Job.User]++
-		}
-		c.userBuilt = true
-	}
+	c.countUsers()
 	return c.userRunning[user]
+}
+
+// started counts a job committed during this pass toward its user.
+func (c *Context) started(user int) {
+	c.countUsers()
+	c.userRunning[user]++
+}
+
+// countUsers builds the per-user counts of the Running snapshot once
+// per pass.
+func (c *Context) countUsers() {
+	if c.userBuilt {
+		return
+	}
+	if c.userRunning == nil {
+		c.userRunning = make(map[int]int, len(c.Running))
+	}
+	for i := range c.Running {
+		c.userRunning[c.Running[i].Job.User]++
+	}
+	c.userBuilt = true
 }
 
 // ByEnd returns the running jobs sorted by (GuaranteedEnd, JobID), the

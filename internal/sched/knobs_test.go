@@ -128,3 +128,26 @@ func TestMaxPerUserConservativeSkipsWithoutReserving(t *testing.T) {
 		t.Fatalf("dispatched %v, want [2]", dispatchIDs(ds))
 	}
 }
+
+// TestMaxPerUserCountsJobsStartedInThePass: a user with nothing running
+// and three queued 1-node jobs gets one started under MaxPerUser 1,
+// whatever the backfill mode, because each start counts toward the cap
+// for the rest of the pass.
+func TestMaxPerUserCountsJobsStartedInThePass(t *testing.T) {
+	for _, mode := range []BackfillMode{BackfillNone, BackfillEASY, BackfillConservative} {
+		t.Run(mode.String(), func(t *testing.T) {
+			m := cluster.MustNew(oneRackConfig(0))
+			b := &Batch{Order: FCFS{}, Backfill: mode, Placer: LocalOnly{}, MaxPerUser: 1}
+			var q []*workload.Job
+			for id := 1; id <= 3; id++ {
+				j := timedJob(id, 1, 100, 100)
+				j.User = 7
+				q = append(q, j)
+			}
+			ds := b.Pass(&Context{Now: 0, Machine: m, Queue: q})
+			if got := dispatchIDs(ds); len(got) != 1 || got[0] != 1 {
+				t.Fatalf("dispatched %v, want [1]", got)
+			}
+		})
+	}
+}

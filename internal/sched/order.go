@@ -30,13 +30,14 @@ type FCFS struct{}
 func (FCFS) Name() string { return "fcfs" }
 
 // Sort implements Order.
-func (FCFS) Sort(_ int64, jobs []*workload.Job) {
-	slices.SortFunc(jobs, func(a, b *workload.Job) int {
-		if a.Submit != b.Submit {
-			return cmp.Compare(a.Submit, b.Submit)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+func (FCFS) Sort(_ int64, jobs []*workload.Job) { slices.SortFunc(jobs, fcfsCompare) }
+
+// fcfsCompare is FCFS's comparator.
+func fcfsCompare(a, b *workload.Job) int {
+	if a.Submit != b.Submit {
+		return cmp.Compare(a.Submit, b.Submit)
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // SJF orders by shortest walltime estimate first. Classic

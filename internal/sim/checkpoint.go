@@ -37,8 +37,10 @@ type Checkpoint struct {
 	machine *cluster.Machine
 	rec     *metrics.Recorder
 
-	queue    []*workload.Job
-	running  map[int]runningSnap
+	queue   []*workload.Job
+	running map[int]runningSnap
+	// runIDs and endOrder are the job IDs of the engine's two running
+	// views (ascending ID; ascending guaranteed end, then ID).
 	runIDs   []int
 	endOrder []int
 
@@ -121,8 +123,8 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		rec:          e.rec.Clone(),
 		queue:        append([]*workload.Job(nil), e.queue...),
 		running:      make(map[int]runningSnap, len(e.running)),
-		runIDs:       append([]int(nil), e.runIDs...),
-		endOrder:     append([]int(nil), e.endOrder...),
+		runIDs:       viewIDs(e.byID),
+		endOrder:     viewIDs(e.byEnd),
 		src:          src,
 		srcDone:      e.srcDone,
 		srcErr:       e.srcErr,
@@ -234,8 +236,6 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 		lastArrival:  cp.lastArrival,
 		queue:        append([]*workload.Job(nil), cp.queue...),
 		running:      make(map[int]*runningState, len(cp.running)),
-		runIDs:       append([]int(nil), cp.runIDs...),
-		endOrder:     append([]int(nil), cp.endOrder...),
 		reDilate:     memmodel.ContentionSensitive(cfg.Model),
 		terminated:   cp.terminated,
 		jobsLeft:     cp.jobsLeft,
@@ -284,6 +284,13 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 			dilAtStart: rs.dilAtStart, workLeft: rs.workLeft,
 			rate: rs.rate, lastUpdate: rs.lastUpdate,
 		}
+	}
+	var err error
+	if e.byID, err = e.runningView("ID", cp.runIDs, byJobID); err != nil {
+		return nil, err
+	}
+	if e.byEnd, err = e.runningView("end", cp.endOrder, byEndThenID); err != nil {
+		return nil, err
 	}
 
 	// Rebuild the DES queue from the records: each kind maps back to
@@ -389,4 +396,41 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 		}
 	}
 	return e, nil
+}
+
+// viewIDs lists the job IDs of a running view, in its order (nil when
+// nothing runs).
+func viewIDs(view []sched.RunningJob) []int {
+	if len(view) == 0 {
+		return nil
+	}
+	ids := make([]int, len(view))
+	for i := range view {
+		ids[i] = view[i].Job.ID
+	}
+	return ids
+}
+
+// runningView rebuilds one running view, at exact capacity, from its
+// checkpointed job IDs. The IDs must name every running job once, in
+// the view's order.
+func (e *Engine) runningView(name string, ids []int, order func(a, b sched.RunningJob) int) ([]sched.RunningJob, error) {
+	if len(ids) != len(e.running) {
+		return nil, fmt.Errorf("sim: checkpoint %s order lists %d jobs, running set %d", name, len(ids), len(e.running))
+	}
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	view := make([]sched.RunningJob, len(ids))
+	for i, id := range ids {
+		rs, ok := e.running[id]
+		if !ok {
+			return nil, fmt.Errorf("sim: checkpoint %s order names job %d, which is not running", name, id)
+		}
+		view[i] = e.runningJob(rs)
+		if i > 0 && order(view[i-1], view[i]) >= 0 {
+			return nil, fmt.Errorf("sim: checkpoint %s order is not sorted at job %d", name, id)
+		}
+	}
+	return view, nil
 }

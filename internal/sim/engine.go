@@ -10,8 +10,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dismem/internal/cluster"
 	"dismem/internal/des"
@@ -179,16 +180,16 @@ type Engine struct {
 
 	queue   []*workload.Job
 	running map[int]*runningState
-	// runIDs and endOrder are the running job IDs under two
-	// incrementally maintained orders: ascending job ID (deterministic
-	// re-dilation order) and ascending (GuaranteedEnd, ID) (the order
-	// reservation planners consume releases in). Both are updated by
-	// binary-search insert/remove at dispatch and termination instead
-	// of being re-derived per pass.
-	runIDs    []int
-	endOrder  []int
-	reDilate  bool
-	passQueue bool
+	// byID and byEnd are the running set as two maintained views:
+	// ascending job ID (the deterministic re-dilation order, handed to
+	// passes as sched.Context.Running) and ascending (GuaranteedEnd, ID)
+	// (the order reservation planners consume releases in, returned by
+	// sched.Context.ByEnd). A running job's entry never changes, so both
+	// are updated only by binary-search insert and remove at dispatch
+	// and termination, and passes read them without a copy.
+	byID, byEnd []sched.RunningJob
+	reDilate    bool
+	passQueue   bool
 
 	// Failure injection state.
 	failRNG    *stats.RNG
@@ -219,15 +220,13 @@ type Engine struct {
 	hArrival, hPass, hEnd, hSample, hFailure, hRepair, hScenario des.Handler
 
 	// Scratch reused across events within one run (see DESIGN.md §13):
-	// the two running-set snapshots handed to scheduler passes (valid
-	// only during the pass), the pass context, the started-set of the
-	// current dispatch round, the up-node candidate list of the failure
-	// process, and the runningState free list.
-	snapRun, snapEnd []sched.RunningJob
-	passCtx          sched.Context
-	startedScratch   map[int]bool
-	upScratch        []cluster.NodeID
-	rsPool           []*runningState
+	// the pass context, the sorted IDs of the current dispatch round,
+	// the up-node candidate list of the failure process, and the
+	// runningState free list.
+	passCtx    sched.Context
+	startedIDs []int
+	upScratch  []cluster.NodeID
+	rsPool     []*runningState
 }
 
 // bindHandlers creates the per-family handler values once per engine.
@@ -239,9 +238,9 @@ func (e *Engine) bindHandlers() {
 	e.hFailure = e.onFailureEvent
 	e.hRepair = e.onRepairEvent
 	e.hScenario = e.onScenarioEvent
-	// The pass context's lazy end-order snapshot is bound here too: a
-	// method value allocates, and ByEndFn is the same for every pass.
-	e.passCtx.ByEndFn = e.endSnapshot
+	// The pass context's end-order view is bound here too: a method
+	// value allocates, and ByEndFn is the same for every pass.
+	e.passCtx.ByEndFn = e.endView
 }
 
 // New builds an engine; the machine is constructed from cfg.Machine.
@@ -250,7 +249,7 @@ func New(cfg Config) (*Engine, error) { return newEngine(cfg, nil) }
 // NewReusing builds an engine for cfg that recycles a finished
 // predecessor's run-independent state: the machine (reset in place when
 // cfg.Machine matches its base configuration), the DES event free list,
-// and every per-event scratch structure (snapshots, pass context,
+// and every per-event scratch structure (running views, pass context,
 // runningState pool, maps). The per-run observable state — recorder,
 // scheduler, sinks, RNGs — is fresh, so a NewReusing engine produces
 // byte-identical reports, records, series and traces to a New one with
@@ -313,19 +312,21 @@ func newEngine(cfg Config, prev *Engine) (*Engine, error) {
 		// previous run's observable state survives.
 		e.sim = des.NewReusing(prev.sim)
 		e.queue = prev.queue[:0]
-		e.runIDs = prev.runIDs[:0]
-		e.endOrder = prev.endOrder[:0]
+		// A stopped predecessor may leave running entries; drop their
+		// references along with them.
+		clear(prev.byID)
+		clear(prev.byEnd)
+		e.byID = prev.byID[:0]
+		e.byEnd = prev.byEnd[:0]
 		clear(prev.running)
 		e.running = prev.running
 		clear(prev.restarts)
 		e.restarts = prev.restarts
 		clear(prev.scenarioDown)
 		e.scenarioDown = prev.scenarioDown
-		e.snapRun = prev.snapRun[:0]
-		e.snapEnd = prev.snapEnd[:0]
 		e.passCtx = prev.passCtx
 		e.passCtx.Reset()
-		e.startedScratch = prev.startedScratch
+		e.startedIDs = prev.startedIDs[:0]
 		e.upScratch = prev.upScratch[:0]
 		e.rsPool = prev.rsPool
 		prev.rsPool = nil
@@ -703,8 +704,10 @@ func (e *Engine) pass(now int64) {
 }
 
 // dispatchPass runs one scheduling cycle and returns how many jobs it
-// started. The pass context, running-set snapshots and started-set are
-// engine scratch, valid only for the duration of the pass.
+// started. The pass context is engine scratch; its Queue is the live
+// queue and its Running and ByEnd are the engine's running views, all
+// read-only to the scheduler and valid only for the duration of the
+// pass.
 func (e *Engine) dispatchPass(now int64) int {
 	if len(e.queue) == 0 {
 		return 0
@@ -715,27 +718,28 @@ func (e *Engine) dispatchPass(now int64) int {
 	ctx.Machine = e.m
 	ctx.Model = e.cfg.Model
 	ctx.Queue = e.queue
-	ctx.Running = e.runningSnapshot()
+	ctx.Running = e.byID
 	ctx.ExtendLimit = e.cfg.ExtendLimit
+	ctx.CheckInvariants = e.cfg.CheckInvariants
 	e.rec.Observe(now, e.m.Usage()) // close interval at pre-dispatch usage
 	dispatches := e.cfg.Scheduler.Pass(ctx)
+	if e.cfg.CheckInvariants {
+		e.checkRunningViews()
+	}
 	if len(dispatches) == 0 {
 		return 0
 	}
-	if e.startedScratch == nil {
-		e.startedScratch = make(map[int]bool, len(dispatches))
-	} else {
-		clear(e.startedScratch)
-	}
-	started := e.startedScratch
+	ids := e.startedIDs[:0]
 	for _, d := range dispatches {
-		started[d.Job.ID] = true
+		ids = append(ids, d.Job.ID)
 		e.start(now, d)
 	}
+	slices.Sort(ids)
+	e.startedIDs = ids
 	// Remove started jobs from the pending queue, preserving order.
 	kept := e.queue[:0]
 	for _, j := range e.queue {
-		if !started[j.ID] {
+		if _, started := slices.BinarySearch(ids, j.ID); !started {
 			kept = append(kept, j)
 		}
 	}
@@ -744,32 +748,47 @@ func (e *Engine) dispatchPass(now int64) int {
 	return len(dispatches)
 }
 
-// runningSnapshot materialises the running set in ascending-ID order
-// into engine scratch: the returned slice is valid only until the next
-// pass (see DESIGN.md §13).
-func (e *Engine) runningSnapshot() []sched.RunningJob {
-	e.snapRun = e.snapshotInto(e.snapRun[:0], e.runIDs)
-	return e.snapRun
+// endView backs sched.Context.ByEnd: the running set in
+// (GuaranteedEnd, ID) order, engine-owned and read-only.
+func (e *Engine) endView() []sched.RunningJob { return e.byEnd }
+
+// byJobID orders the ID view; byEndThenID orders the end view.
+func byJobID(a, b sched.RunningJob) int { return cmp.Compare(a.Job.ID, b.Job.ID) }
+
+func byEndThenID(a, b sched.RunningJob) int {
+	return cmp.Or(cmp.Compare(a.GuaranteedEnd(), b.GuaranteedEnd()), byJobID(a, b))
 }
 
-// endSnapshot materialises the running set in (GuaranteedEnd, ID)
-// order; it backs sched.Context.ByEnd, so it is only built for passes
-// that plan reservations. Like runningSnapshot it returns engine
-// scratch, distinct from runningSnapshot's so both orders can be alive
-// within one pass.
-func (e *Engine) endSnapshot() []sched.RunningJob {
-	e.snapEnd = e.snapshotInto(e.snapEnd[:0], e.endOrder)
-	return e.snapEnd
-}
-
-func (e *Engine) snapshotInto(out []sched.RunningJob, ids []int) []sched.RunningJob {
-	for _, id := range ids {
-		rs := e.running[id]
-		out = append(out, sched.RunningJob{
-			Job: rs.job, Start: rs.start, Limit: rs.limit, Alloc: rs.alloc,
-		})
+// checkRunningViews verifies both running views against the running
+// set: same jobs, same entries, each in its order. It runs under
+// Config.CheckInvariants after every pass and state change, so a
+// scheduler that mutates ctx.Running, or a missed insert or remove,
+// panics like a machine invariant violation.
+func (e *Engine) checkRunningViews() {
+	if len(e.byID) != len(e.running) || len(e.byEnd) != len(e.running) {
+		panic(fmt.Sprintf("sim: running views hold %d and %d jobs, running set %d",
+			len(e.byID), len(e.byEnd), len(e.running)))
 	}
-	return out
+	for _, v := range []struct {
+		name  string
+		jobs  []sched.RunningJob
+		order func(a, b sched.RunningJob) int
+	}{{"ID", e.byID, byJobID}, {"end", e.byEnd, byEndThenID}} {
+		for i, r := range v.jobs {
+			rs, ok := e.running[r.Job.ID]
+			if !ok || r != e.runningJob(rs) {
+				panic(fmt.Sprintf("sim: %s view entry %d (job %d) does not match the running set", v.name, i, r.Job.ID))
+			}
+			if i > 0 && v.order(v.jobs[i-1], r) >= 0 {
+				panic(fmt.Sprintf("sim: %s view out of order at entry %d (job %d after job %d)", v.name, i, r.Job.ID, v.jobs[i-1].Job.ID))
+			}
+		}
+	}
+}
+
+// runningJob is rs as the scheduler sees it.
+func (e *Engine) runningJob(rs *runningState) sched.RunningJob {
+	return sched.RunningJob{Job: rs.job, Start: rs.start, Limit: rs.limit, Alloc: rs.alloc}
 }
 
 // newRunningState pops a zeroed runningState from the free list (or
@@ -792,50 +811,27 @@ func (e *Engine) freeRunningState(rs *runningState) {
 	e.rsPool = append(e.rsPool, rs)
 }
 
-// guaranteedEnd returns the latest instant job id holds resources.
-func (e *Engine) guaranteedEnd(id int) int64 {
-	rs := e.running[id]
-	return rs.start + rs.limit
+// insertRunning adds r to both running views: O(log running) search
+// plus one slice shift each.
+func (e *Engine) insertRunning(r sched.RunningJob) {
+	i, _ := slices.BinarySearchFunc(e.byID, r, byJobID)
+	e.byID = slices.Insert(e.byID, i, r)
+	j, _ := slices.BinarySearchFunc(e.byEnd, r, byEndThenID)
+	e.byEnd = slices.Insert(e.byEnd, j, r)
 }
 
-// insertRunning adds id (already present in e.running) to both
-// maintained orders: O(log running) search plus one slice shift each.
-func (e *Engine) insertRunning(id int) {
-	i := sort.SearchInts(e.runIDs, id)
-	e.runIDs = append(e.runIDs, 0)
-	copy(e.runIDs[i+1:], e.runIDs[i:])
-	e.runIDs[i] = id
-
-	end := e.guaranteedEnd(id)
-	j := sort.Search(len(e.endOrder), func(k int) bool {
-		o := e.endOrder[k]
-		oe := e.guaranteedEnd(o)
-		return oe > end || (oe == end && o > id)
-	})
-	e.endOrder = append(e.endOrder, 0)
-	copy(e.endOrder[j+1:], e.endOrder[j:])
-	e.endOrder[j] = id
-}
-
-// removeRunning drops id from both orders; it must still be present in
-// e.running so the end-order search can compare ends.
+// removeRunning drops job id from both running views.
 func (e *Engine) removeRunning(id int) {
-	i := sort.SearchInts(e.runIDs, id)
-	if i >= len(e.runIDs) || e.runIDs[i] != id {
-		panic(fmt.Sprintf("sim: job %d missing from runIDs", id))
+	i, ok := slices.BinarySearchFunc(e.byID, id, func(r sched.RunningJob, id int) int { return cmp.Compare(r.Job.ID, id) })
+	if !ok {
+		panic(fmt.Sprintf("sim: job %d missing from the ID view", id))
 	}
-	e.runIDs = append(e.runIDs[:i], e.runIDs[i+1:]...)
-
-	end := e.guaranteedEnd(id)
-	j := sort.Search(len(e.endOrder), func(k int) bool {
-		o := e.endOrder[k]
-		oe := e.guaranteedEnd(o)
-		return oe > end || (oe == end && o >= id)
-	})
-	if j >= len(e.endOrder) || e.endOrder[j] != id {
-		panic(fmt.Sprintf("sim: job %d missing from endOrder", id))
+	j, ok := slices.BinarySearchFunc(e.byEnd, e.byID[i], byEndThenID)
+	if !ok {
+		panic(fmt.Sprintf("sim: job %d missing from the end view", id))
 	}
-	e.endOrder = append(e.endOrder[:j], e.endOrder[j+1:]...)
+	e.byID = slices.Delete(e.byID, i, i+1)
+	e.byEnd = slices.Delete(e.byEnd, j, j+1)
 }
 
 // start registers a dispatched job (its allocation is already committed
@@ -860,7 +856,7 @@ func (e *Engine) start(now int64, d sched.Dispatch) {
 		lastUpdate: now,
 	}
 	e.running[job.ID] = rs
-	e.insertRunning(job.ID)
+	e.insertRunning(e.runningJob(rs))
 	e.scheduleEnd(rs)
 	for _, o := range e.outs {
 		o.dispatch(now, job, rs.alloc, dil)
@@ -1085,12 +1081,13 @@ func (e *Engine) onRepair(victim cluster.NodeID) {
 }
 
 // afterChange re-dilates running jobs under contention-sensitive models
-// and optionally validates machine invariants.
+// and optionally validates machine invariants and the running views.
 func (e *Engine) afterChange(now int64) {
 	if e.cfg.CheckInvariants {
 		if err := e.m.CheckInvariants(); err != nil {
 			panic(fmt.Sprintf("sim: %v", err))
 		}
+		e.checkRunningViews()
 	}
 	if !e.reDilate {
 		return
@@ -1105,12 +1102,12 @@ func (e *Engine) afterChange(now int64) {
 // beta shift — which changes rates even under models whose dilation is
 // otherwise fixed at dispatch.
 func (e *Engine) redilateRunning(now int64) {
-	// Deterministic order: ascending job ID. runIDs is maintained in
-	// exactly that order, so no per-call collection or sort is needed
+	// Deterministic order: ascending job ID. The ID view is maintained
+	// in exactly that order, so no per-call collection or sort is needed
 	// (same-instant DES events fire in scheduling order, so the order
 	// end events are rescheduled in is behavior-relevant).
-	for _, id := range e.runIDs {
-		rs := e.running[id]
+	for i := range e.byID {
+		rs := e.running[e.byID[i].Job.ID]
 		if rs.alloc.RemoteMiB() == 0 {
 			continue
 		}

@@ -361,12 +361,27 @@ func Table2Policies(o Options) []*Table {
 		Cols: []string{"policy", "mean wait (s)", "p95 wait (s)", "mean bsld",
 			"node util", "jobs/h", "remote", "mean dil", "killed", "rejected", "jain"},
 	}
+	for _, r := range table2Rows() {
+		a := r.cell.MustRun(o)
+		t.AddRow(r.label, f0(a.MeanWait), f0(a.P95Wait), f1(a.MeanBSld),
+			f2(a.NodeUtil), f1(a.Throughput), fp(a.RemoteFrac),
+			f2(a.MeanDilRemote), fp(a.KilledFrac), fp(a.RejectedFrac), f2(a.JainWait))
+	}
+	return []*Table{t}
+}
+
+// row is one labelled cell of a table.
+type row struct {
+	label string
+	cell  Cell
+}
+
+// table2Rows are Table 2's cells: every policy on the stressed
+// machine, plus the big-memory baseline.
+func table2Rows() []row {
 	mc := stressedMachine(64, 2048)
 	const model = "bandwidth:1,1"
-	rows := []struct {
-		label string
-		cell  Cell
-	}{
+	return []row{
 		{"easy-local @256GiB", Cell{Machine: baselineMachine(), Policy: "easy-local", Model: model}},
 		{"fcfs-local", Cell{Machine: mc, Policy: "fcfs-local", Model: model}},
 		{"easy-local", Cell{Machine: mc, Policy: "easy-local", Model: model}},
@@ -376,13 +391,6 @@ func Table2Policies(o Options) []*Table {
 		{"memaware-cons", Cell{Machine: mc, Policy: "memaware-cons", Model: model}},
 		{"memaware-patient", Cell{Machine: mc, Policy: "memaware-patient", Model: model}},
 	}
-	for _, r := range rows {
-		a := r.cell.MustRun(o)
-		t.AddRow(r.label, f0(a.MeanWait), f0(a.P95Wait), f1(a.MeanBSld),
-			f2(a.NodeUtil), f1(a.Throughput), fp(a.RemoteFrac),
-			f2(a.MeanDilRemote), fp(a.KilledFrac), fp(a.RejectedFrac), f2(a.JainWait))
-	}
-	return []*Table{t}
 }
 
 // --- Fig 5: DRAM downsizing ------------------------------------------------
@@ -486,12 +494,20 @@ func Table3Ablation(o Options) []*Table {
 		Cols: []string{"variant", "mean wait (s)", "mean bsld", "mean dil",
 			"p95 dil", "killed", "remote"},
 	}
+	for _, r := range table3Rows() {
+		a := r.cell.MustRun(o)
+		t.AddRow(r.label, f0(a.MeanWait), f1(a.MeanBSld), f2(a.MeanDilRemote),
+			f2(a.P95DilRemote), fp(a.KilledFrac), fp(a.RemoteFrac))
+	}
+	return []*Table{t}
+}
+
+// table3Rows are Table 3's cells: memaware with each mechanism off in
+// turn, on the small-pool machine under an RDMA-class penalty.
+func table3Rows() []row {
 	mc := stressedMachine(64, 1024)
 	const model = "bandwidth:1.5,1"
-	rows := []struct {
-		label string
-		cell  Cell
-	}{
+	return []row{
 		{"memaware (full)", Cell{Machine: mc, Policy: "memaware", Model: model}},
 		{"- slowdown cap", Cell{Machine: mc, Policy: "memaware-nocap", Model: model}},
 		{"- pool balancing", Cell{Machine: mc, Policy: "memaware-nobal", Model: model}},
@@ -500,12 +516,6 @@ func Table3Ablation(o Options) []*Table {
 		{"+ 30 min spill patience", Cell{Machine: mc, Policy: "memaware-patient", Model: model}},
 		{"oblivious spill", Cell{Machine: mc, Policy: "easy-oblivious", Model: model}},
 	}
-	for _, r := range rows {
-		a := r.cell.MustRun(o)
-		t.AddRow(r.label, f0(a.MeanWait), f1(a.MeanBSld), f2(a.MeanDilRemote),
-			f2(a.P95DilRemote), fp(a.KilledFrac), fp(a.RemoteFrac))
-	}
-	return []*Table{t}
 }
 
 // --- Fig 8: per-job dilation CDF ---------------------------------------------

@@ -519,16 +519,12 @@ func (c Cell) seedFailures(s int) *sim.FailureConfig {
 	return &fc
 }
 
-// newSeed builds seed s's run on runner r: the cell's configuration
-// plus the seed's workload and failure stream. With StopWhen, or a
-// cancellable sweep context, the run carries the abort observer,
-// sampled every SampleEvery simulated seconds (default 3600) and wired
-// to the returned handle; no event fires before that, since
-// construction only primes the event queue.
-func (c Cell) newSeed(o Options, mc dismem.MachineConfig, s int, r *dismem.Runner) (*dismem.Simulation, error) {
+// seedOptions is seed s's run description: the cell's configuration
+// plus the seed's workload and failure stream.
+func (c Cell) seedOptions(o Options, mc dismem.MachineConfig, s int) (dismem.Options, error) {
 	wl, err := cachedWorkload(c.seedGen(o, mc, s))
 	if err != nil {
-		return nil, err
+		return dismem.Options{}, err
 	}
 	opts := dismem.Options{
 		Machine:    mc,
@@ -544,6 +540,19 @@ func (c Cell) newSeed(o Options, mc dismem.MachineConfig, s int, r *dismem.Runne
 	}
 	if c.Scheduler != nil {
 		opts.SchedulerImpl = c.Scheduler()
+	}
+	return opts, nil
+}
+
+// newSeed builds seed s's run on runner r (see seedOptions). With
+// StopWhen, or a cancellable sweep context, the run carries the abort
+// observer, sampled every SampleEvery simulated seconds (default 3600)
+// and wired to the returned handle; no event fires before that, since
+// construction only primes the event queue.
+func (c Cell) newSeed(o Options, mc dismem.MachineConfig, s int, r *dismem.Runner) (*dismem.Simulation, error) {
+	opts, err := c.seedOptions(o, mc, s)
+	if err != nil {
+		return nil, err
 	}
 	var abort *abortObserver
 	if c.StopWhen != nil || o.Ctx != nil {
