@@ -86,6 +86,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			}
 			return dismem.Options{Policy: "memaware", Source: src, Scenario: sc}
 		}},
+		{"spec_policy", 25000, func() dismem.Options {
+			return dismem.Options{
+				Policy:   "order=sjf backfill=conservative placer=memaware cap=3 patience=1800",
+				Workload: dismem.SyntheticWorkload(600, 2),
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -170,7 +176,7 @@ func TestCheckpointRecordsResolvedOptions(t *testing.T) {
 func TestSaveRejectsLiveCode(t *testing.T) {
 	wl := dismem.SyntheticWorkload(100, 1)
 
-	sch, err := dismem.ParsePolicy("order=fcfs backfill=easy placer=local")
+	sch, err := dismem.NewScheduler("order=fcfs backfill=easy placer=local")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,11 @@
 //	dmsched -policy memaware -local 64 -pool 4096 -model linear:0.5
 //	dmsched -swf trace.swf -node-cores 32 -policy easy-oblivious
 //
-// Beyond the registered policy names, -spec accepts a composable
-// policy description, and -progress streams live simulation state to
-// stderr while the run is in flight:
+// Beyond the legacy policy names, -policy accepts a composable policy
+// spec, and -progress streams live simulation state to stderr while the
+// run is in flight:
 //
-//	dmsched -spec "order=sjf backfill=easy placer=memaware cap=3" -progress 6h
+//	dmsched -policy "order=sjf backfill=easy placer=memaware cap=3" -progress 6h
 //
 // -scenario perturbs the run with a deterministic intervention
 // timeline (outages, pool resizes, penalty shifts, surges; see
@@ -92,8 +92,7 @@ const exitInterrupted = 3
 
 func main() {
 	var (
-		policy    = flag.String("policy", "memaware", "scheduling policy: "+strings.Join(dismem.Policies(), ", "))
-		specFlag  = flag.String("spec", "", `composable policy spec, e.g. "order=sjf placer=memaware cap=3" (overrides -policy; the report is labelled with the spec's name, and the run checkpoints with -ckpt-save like a -policy run)`)
+		policy    = flag.String("policy", "memaware", `scheduling policy: a name (`+strings.Join(dismem.Policies(), ", ")+`) or a spec, e.g. "order=sjf placer=memaware cap=3"`)
 		scenFlag  = flag.String("scenario", "", `scenario timeline, e.g. "at=3600 down rack=2; at=7200 up rack=2; from=0 period=86400 amp=0.5 diurnal"`)
 		progress  = flag.Duration("progress", 0, "print live progress to stderr every given span of simulated time (e.g. 6h; 0 = off)")
 		model     = flag.String("model", "linear:0.5", "memory model spec (linear:b | step:b0,b | bandwidth:b,g)")
@@ -173,7 +172,7 @@ func main() {
 	}
 	tele := newTelemetry(*progress, *seriesEv, *seriesOut, *metrAddr, *traceOut, *traceFmt)
 	if *ckptLoad != "" {
-		if *swf != "" || *specFlag != "" || *scenFlag != "" || *cfgPath != "" || *cpAt > 0 || *swfStream || *recordOut != "" {
+		if *swf != "" || *scenFlag != "" || *cfgPath != "" || *cpAt > 0 || *swfStream || *recordOut != "" {
 			fatalf("-ckpt-load resumes a self-contained run; it only combines with -progress, -series-out, -series-every, -metrics-addr, -trace-out, -trace-format, -v and -ckpt-save")
 		}
 		runFromCheckpoint(*ckptLoad, *ckptSave, tele)
@@ -199,9 +198,6 @@ func main() {
 		}
 	}
 	if *cfgPath != "" {
-		if *specFlag != "" {
-			fatalf("-spec cannot be combined with -config (set the policy in the config file)")
-		}
 		if *scenFlag != "" {
 			fatalf("-scenario cannot be combined with -config")
 		}
@@ -275,7 +271,6 @@ func main() {
 		}
 	}
 
-	label := *policy
 	opts := dismem.Options{
 		Machine:    mc,
 		Policy:     *policy,
@@ -312,26 +307,15 @@ func main() {
 		}
 		opts.Scenario = sc
 	}
-	if *specFlag != "" {
-		// A spec string is a policy: the run records it, so -spec runs
-		// checkpoint and resume like -policy runs. Parsing it here only
-		// fails a bad spec early and names the report.
-		s, err := dismem.ParsePolicy(*specFlag)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		opts.Policy = *specFlag
-		label = s.Name()
-	}
 	if *cpAt > 0 {
-		runCheckpointed(label, opts, tele, *cpAt, forkSc, *recordOut, *seriesOut, *traceOut, *traceFmt)
+		runCheckpointed(*policy, opts, tele, *cpAt, forkSc, *recordOut, *seriesOut, *traceOut, *traceFmt)
 		return
 	}
 	h, err := dismem.New(tele.apply(opts))
 	if err != nil {
 		fatalf("%v", err)
 	}
-	driveAndReport(h, label, *ckptSave)
+	driveAndReport(h, *policy, *ckptSave)
 }
 
 // driveAndReport advances the simulation to completion from the main

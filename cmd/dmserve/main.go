@@ -58,8 +58,7 @@ const exitInterrupted = 3
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		policy    = flag.String("policy", "memaware", "scheduling policy: "+strings.Join(dismem.Policies(), ", "))
-		specFlag  = flag.String("spec", "", `composable policy spec, e.g. "order=sjf backfill=easy placer=memaware" (overrides -policy)`)
+		policy    = flag.String("policy", "memaware", `scheduling policy: a name (`+strings.Join(dismem.Policies(), ", ")+`) or a spec, e.g. "order=sjf backfill=easy placer=memaware"`)
 		scenFlag  = flag.String("scenario", "", `baseline scenario timeline, e.g. "at=3600 down rack=2; at=7200 up rack=2"`)
 		model     = flag.String("model", "linear:0.5", "memory model spec (linear:b | step:b0,b | bandwidth:b,g)")
 		topology  = flag.String("topology", "rack", "pool topology: none | rack | global")
@@ -150,13 +149,6 @@ func main() {
 	if *mtbf > 0 {
 		failures = &dismem.FailureConfig{MTBFPerNodeSec: *mtbf, RepairSec: *repair, Seed: *failSeed}
 	}
-	// A spec string is a valid Options.Policy, so it stays serializable
-	// into ring checkpoints (unlike a live SchedulerImpl).
-	pol := *policy
-	if *specFlag != "" {
-		pol = *specFlag
-	}
-
 	var store *runstore.Store
 	if *storeDir != "" {
 		var err error
@@ -170,7 +162,7 @@ func main() {
 	s, err := serve.New(serve.Config{
 		Options: dismem.Options{
 			Machine:    mc,
-			Policy:     pol,
+			Policy:     *policy,
 			Model:      *model,
 			Workload:   wl,
 			Scenario:   sc,
@@ -199,7 +191,7 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "dmserve: listening on %s (policy %s, checkpoint every %ds keep %d in %s)\n",
-		ln.Addr(), pol, *ckptEvery, *ckptKeep, *ckptDir)
+		ln.Addr(), *policy, *ckptEvery, *ckptKeep, *ckptDir)
 
 	// The drive loop owns the baseline on the main goroutine; signals
 	// cancel between chunks, at a clean event boundary.

@@ -19,9 +19,9 @@
 //		Workload: wl,
 //	})
 //
-// Policies are composable specs, not just registered names: any
-// combination of queue order, backfill discipline, placement policy and
-// chassis knobs can be written inline,
+// Policies are composable specs: any combination of queue order,
+// backfill discipline, placement policy and chassis knobs can be
+// written inline,
 //
 //	res, err := dismem.Simulate(dismem.Options{
 //		Policy:   "order=sjf backfill=easy placer=memaware cap=3 patience=1800",
@@ -29,7 +29,7 @@
 //	})
 //
 // and every legacy name ("memaware", "easy-local", ...) is an alias
-// resolved through the same grammar (see ParsePolicy).
+// resolved through the same grammar (see NewScheduler).
 //
 // For observation and control while a run is in flight, New returns a
 // steppable handle instead of a finished result:
@@ -107,7 +107,6 @@ package dismem
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"dismem/internal/cluster"
 	"dismem/internal/memmodel"
@@ -143,9 +142,6 @@ type (
 	Result = sim.Result
 	// Scheduler is the scheduling-policy interface.
 	Scheduler = sched.Scheduler
-	// Placer is the placement-policy interface schedulers compose; see
-	// RegisterPlacer.
-	Placer = sched.Placer
 	// MemoryModel maps remote fraction and congestion to dilation.
 	MemoryModel = memmodel.Model
 	// FailureConfig parameterises node failure injection.
@@ -245,12 +241,6 @@ func DefaultGen(n int, seed uint64, mc MachineConfig) GenConfig {
 	return workload.DefaultGenConfig(n, seed, mc.TotalNodes())
 }
 
-// LublinWorkload generates a trace from the Lublin-Feitelson (JPDC
-// 2003) model with the published constants, sized for machine mc.
-func LublinWorkload(n int, seed uint64, mc MachineConfig) (*Workload, error) {
-	return workload.GenerateLublin(workload.DefaultLublinConfig(n, seed, mc.TotalNodes()))
-}
-
 // ParseModel builds a memory model from a spec like "linear:0.5",
 // "step:0.1,0.5" or "bandwidth:0.5,1".
 func ParseModel(spec string) (MemoryModel, error) { return memmodel.Parse(spec) }
@@ -288,13 +278,6 @@ func LublinSource(cfg LublinConfig, maxJobs int, horizonSec int64) (Source, erro
 		return nil, err
 	}
 	return source.Gen(st, maxJobs, horizonSec), nil
-}
-
-// ModulateSource wraps src with a time-varying arrival-rate multiplier
-// (the lazy form of the scenario surge/diurnal warp), for custom
-// arrival shaping of streamed workloads.
-func ModulateSource(src Source, rate func(t float64) float64) Source {
-	return source.Modulate(src, rate)
 }
 
 // NewJSONLSink returns a Sink writing one JSON object per record line
@@ -337,9 +320,8 @@ type Options struct {
 	// zero cores) is an error, not a silent default.
 	Machine MachineConfig
 	// Policy selects the scheduler: a legacy policy name (see
-	// Policies), a registered custom policy (see RegisterPolicy), or a
-	// composable spec string (see ParsePolicy). Ignored when
-	// SchedulerImpl is set.
+	// Policies) or a composable spec string (see NewScheduler).
+	// Ignored when SchedulerImpl is set.
 	Policy string
 	// SchedulerImpl overrides Policy with a concrete scheduler.
 	SchedulerImpl Scheduler
@@ -416,48 +398,27 @@ func Simulate(o Options) (*Result, error) {
 	return s.Run()
 }
 
-// customPolicies holds user-registered scheduler factories
-// (RegisterPolicy); they resolve before the spec grammar.
-var customPolicies = map[string]func() Scheduler{}
+// Policies returns the legacy policy names, sorted: the evaluation's
+// aliases. Spec strings (see NewScheduler) select arbitrarily many more
+// combinations.
+func Policies() []string { return spec.Aliases() }
 
-// Policies returns the selectable policy names, sorted: the legacy
-// evaluation aliases plus any registered custom policies. Spec strings
-// (ParsePolicy) select arbitrarily many more combinations.
-func Policies() []string {
-	out := spec.Aliases()
-	for name := range customPolicies {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NewScheduler builds a fresh scheduler for a policy name or spec
-// string: custom registered policies resolve first, then legacy
-// aliases and key=value specs through ParsePolicy.
-func NewScheduler(name string) (Scheduler, error) {
-	if f, ok := customPolicies[name]; ok {
-		return f(), nil
-	}
-	return ParsePolicy(name)
-}
-
-// ParsePolicy compiles a composable policy spec — space-separated
-// key=value terms — into a fresh scheduler:
+// NewScheduler compiles a policy name or composable spec —
+// space-separated key=value terms — into a fresh scheduler:
 //
 //	order=sjf backfill=easy placer=memaware cap=3 patience=1800
 //
 // Terms: order (fcfs|sjf|wfp|largest), backfill (none|easy|
-// conservative), placer (local|spill|memaware, plus RegisterPlacer
-// names), cap / balance / shape (memaware admission knobs), patience
-// (seconds a spilling job waits for local capacity), maxscan / maxres
-// (backfill and reservation depth limits), maxperuser (running-job
-// throttle), and name (report label). Unspecified terms default to the
-// paper's policy: order=fcfs backfill=easy placer=memaware. A bare
-// legacy name ("memaware-patient") expands to its canonical spec, see
-// PolicySpec.
-func ParsePolicy(policySpec string) (Scheduler, error) {
-	s, err := spec.Parse(policySpec)
+// conservative), placer (local|spill|memaware), cap / balance / shape
+// (memaware admission knobs), patience (seconds a spilling job waits
+// for local capacity), maxscan / maxres (backfill and reservation
+// depth limits), maxperuser (running-job throttle), and name (report
+// label). Unspecified terms default to the paper's policy: order=fcfs
+// backfill=easy placer=memaware. A bare legacy name
+// ("memaware-patient", see Policies) expands to its canonical spec and
+// keeps the name as its label.
+func NewScheduler(policy string) (Scheduler, error) {
+	s, err := spec.Parse(policy)
 	if err != nil {
 		return nil, fmt.Errorf("dismem: %w", err)
 	}
@@ -466,7 +427,7 @@ func ParsePolicy(policySpec string) (Scheduler, error) {
 
 // ParseScenario compiles a scenario spec — ';'- or newline-separated
 // statements of key=value terms plus one verb, in the same grammar
-// family as ParsePolicy — into an intervention timeline:
+// family as NewScheduler — into an intervention timeline:
 //
 //	at=3600 down rack=2; at=7200 up rack=2
 //	at=3600 resize pool=all cap=1048576
@@ -485,38 +446,4 @@ func ParseScenario(scenarioSpec string) (*Scenario, error) {
 		return nil, fmt.Errorf("dismem: %w", err)
 	}
 	return s, nil
-}
-
-// PolicySpec returns the canonical spec string a legacy policy name
-// expands to, and whether the name is a known alias.
-func PolicySpec(name string) (string, bool) { return spec.AliasSpec(name) }
-
-// RegisterPolicy adds a user-defined scheduler under name, resolvable
-// through Options.Policy and NewScheduler. The factory must return a
-// fresh instance per call (schedulers are per-simulation state).
-// Registration is not safe for concurrent use with simulations; do it
-// up front. Errors on empty, duplicate, or alias-shadowing names.
-func RegisterPolicy(name string, factory func() Scheduler) error {
-	if name == "" || factory == nil {
-		return fmt.Errorf("dismem: RegisterPolicy needs a name and a factory")
-	}
-	if _, isAlias := spec.AliasSpec(name); isAlias {
-		return fmt.Errorf("dismem: policy %q is a builtin alias", name)
-	}
-	if _, dup := customPolicies[name]; dup {
-		return fmt.Errorf("dismem: policy %q already registered", name)
-	}
-	customPolicies[name] = factory
-	return nil
-}
-
-// RegisterPlacer adds a user-defined placement policy under name, so
-// policy specs can select it with placer=<name> and compose it with
-// any order, backfill discipline, and chassis knob. Same freshness and
-// concurrency rules as RegisterPolicy.
-func RegisterPlacer(name string, factory func() Placer) error {
-	if err := spec.RegisterPlacer(name, factory); err != nil {
-		return fmt.Errorf("dismem: %w", err)
-	}
-	return nil
 }

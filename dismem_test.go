@@ -2,6 +2,7 @@ package dismem_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"dismem"
@@ -32,8 +33,8 @@ func TestPoliciesRegistry(t *testing.T) {
 			t.Fatalf("scheduler for %q reports name %q", p, s.Name())
 		}
 	}
-	if _, err := dismem.NewScheduler("bogus"); err == nil {
-		t.Fatal("unknown policy accepted")
+	if _, err := dismem.NewScheduler("bogus"); err == nil || !strings.HasPrefix(err.Error(), `dismem: spec: unknown policy "bogus"`) {
+		t.Fatalf("unknown policy error = %v", err)
 	}
 }
 
@@ -111,7 +112,7 @@ func TestSimulateDeterministic(t *testing.T) {
 // to end. At least one job must use the pool, so the check cannot pass
 // vacuously.
 func TestSlowdownCapThroughSpec(t *testing.T) {
-	s, err := dismem.ParsePolicy("placer=memaware cap=1.2")
+	s, err := dismem.NewScheduler("placer=memaware cap=1.2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func main() {
 		"order=fcfs backfill=easy placer=local name=easy-local",
 		"order=fcfs backfill=easy placer=memaware name=memaware",
 	} {
-		s, err := dismem.ParsePolicy(policy)
+		s, err := dismem.NewScheduler(policy)
 		if err != nil {
 			log.Fatal(err)
 		}

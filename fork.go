@@ -83,8 +83,8 @@ type ForkOptions struct {
 	// Policy replaces the scheduling policy for the future (name or
 	// spec string, as Options.Policy). Empty keeps the checkpointed
 	// policy; SchedulerImpl overrides both. The replacement scheduler
-	// starts fresh — schedulers are stateless between passes, so this
-	// only matters for custom stateful implementations.
+	// is built fresh and carries nothing from the original run, so its
+	// first pass is a full pass, with no earlier pass to resume.
 	Policy string
 	// SchedulerImpl overrides Policy with a concrete scheduler.
 	SchedulerImpl Scheduler

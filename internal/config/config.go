@@ -24,7 +24,7 @@ type Experiment struct {
 	Machine  Machine  `json:"machine"`
 	Workload Workload `json:"workload"`
 
-	// Policy is a registered scheduling policy name.
+	// Policy is a scheduling policy name or spec string.
 	Policy string `json:"policy"`
 	// Model is a memory-model spec, e.g. "linear:0.5".
 	Model string `json:"model"`

@@ -31,7 +31,7 @@ type WhatIfRequest struct {
 	// absolute simulated time and must not precede the checkpoint.
 	Scenario string `json:"scenario,omitempty"`
 	// Policy optionally switches the scheduling policy at the fork
-	// point ("sjf", "order=sjf backfill=easy placer=memaware", ...).
+	// point ("sjf-local", "order=sjf backfill=easy placer=memaware", ...).
 	Policy string `json:"policy,omitempty"`
 	// ReseedFailures re-randomises failure injection from the fork
 	// point with FailureSeed (exploring futures instead of replaying

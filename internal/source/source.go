@@ -158,11 +158,9 @@ func (g *GenSource) Next() (*workload.Job, bool) {
 	return j, true
 }
 
-// Fork implements Forkable for sources over cloneable generator
-// streams (both workload generator streams are; custom streams may opt
-// in by implementing CloneJobStream). It returns nil when the
-// underlying stream cannot be cloned, which callers must treat as "not
-// forkable after all".
+// Fork implements Forkable for sources over the two workload generator
+// streams, which clone. It returns nil for any other stream, which
+// callers must treat as "not forkable after all".
 func (g *GenSource) Fork() Source {
 	var st JobStream
 	switch s := g.stream.(type) {
@@ -170,8 +168,6 @@ func (g *GenSource) Fork() Source {
 		st = s.Clone()
 	case *workload.LublinStream:
 		st = s.Clone()
-	case interface{ CloneJobStream() JobStream }:
-		st = s.CloneJobStream()
 	default:
 		return nil
 	}

@@ -79,8 +79,8 @@ func (s *SliceSource) Cursor() (*CursorState, error) {
 }
 
 // Cursor implements Durable for sources over the two workload generator
-// streams. A custom JobStream has no serialized form even when it is
-// cloneable, so the source errors here.
+// streams. A custom JobStream has no serialized form, so the source
+// errors here.
 func (g *GenSource) Cursor() (*CursorState, error) {
 	st := &CursorState{
 		Kind: cursorGen, Produced: g.produced,

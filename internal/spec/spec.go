@@ -24,23 +24,23 @@ import (
 	"dismem/internal/sched"
 )
 
-// PlacerConfig carries the spec terms addressed to the placement
+// placerConfig carries the spec terms addressed to the placement
 // policy. Pointer fields distinguish "not specified" from an explicit
 // zero (cap=0 disables the memaware slowdown cap).
-type PlacerConfig struct {
+type placerConfig struct {
 	Cap     *float64 // cap=<float>: max admissible predicted dilation
 	Balance *bool    // balance=on|off: pool-pressure balancing
 	Shape   *bool    // shape=on|off: cross-rack traffic shaping
 }
 
 // empty reports whether no placer term was given.
-func (pc PlacerConfig) empty() bool {
+func (pc placerConfig) empty() bool {
 	return pc.Cap == nil && pc.Balance == nil && pc.Shape == nil
 }
 
 // firstSet names one set placer term, for error messages about placers
 // that take no parameters.
-func (pc PlacerConfig) firstSet() string {
+func (pc placerConfig) firstSet() string {
 	switch {
 	case pc.Cap != nil:
 		return "cap"
@@ -49,69 +49,6 @@ func (pc PlacerConfig) firstSet() string {
 	default:
 		return "shape"
 	}
-}
-
-// PlacerFactory builds a fresh placer from the spec's placer terms.
-type PlacerFactory func(pc PlacerConfig) (sched.Placer, error)
-
-// simpleFactory wraps a parameterless placer constructor, rejecting any
-// placer term in the spec.
-func simpleFactory(name string, f func() sched.Placer) PlacerFactory {
-	return func(pc PlacerConfig) (sched.Placer, error) {
-		if !pc.empty() {
-			return nil, fmt.Errorf("spec: placer %q does not accept %s=", name, pc.firstSet())
-		}
-		return f(), nil
-	}
-}
-
-// placers maps placer names to factories. The builtins mirror the
-// evaluation's placement policies; RegisterPlacer extends the map.
-var placers = map[string]PlacerFactory{
-	"local": simpleFactory("local", func() sched.Placer { return sched.LocalOnly{} }),
-	"spill": simpleFactory("spill", func() sched.Placer { return sched.Spill{} }),
-	"memaware": func(pc PlacerConfig) (sched.Placer, error) {
-		p := core.New()
-		if pc.Cap != nil {
-			p.SlowdownCap = *pc.Cap
-		}
-		if pc.Balance != nil {
-			p.Balance = *pc.Balance
-		}
-		if pc.Shape != nil {
-			p.Shape = *pc.Shape
-		}
-		return p, nil
-	},
-}
-
-// RegisterPlacer adds a user-defined placement policy under name, so
-// spec strings can select it with placer=<name>. The factory must
-// return a fresh instance per call (schedulers are per-simulation
-// state). Parameterless: specs naming it must not carry cap/balance/
-// shape terms. Errors on empty or already-registered names.
-func RegisterPlacer(name string, factory func() sched.Placer) error {
-	if name == "" || factory == nil {
-		return fmt.Errorf("spec: RegisterPlacer needs a name and a factory")
-	}
-	if strings.ContainsAny(name, "= \t\n") {
-		return fmt.Errorf("spec: placer name %q may not contain spaces or '='", name)
-	}
-	if _, dup := placers[name]; dup {
-		return fmt.Errorf("spec: placer %q already registered", name)
-	}
-	placers[name] = simpleFactory(name, factory)
-	return nil
-}
-
-// Placers returns the selectable placer names, sorted.
-func Placers() []string {
-	out := make([]string, 0, len(placers))
-	for name := range placers {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // aliases maps every legacy policy name to its canonical spec. The
@@ -191,7 +128,7 @@ func Parse(s string) (*sched.Batch, error) {
 
 	b := &sched.Batch{PolicyName: name, Backfill: sched.BackfillEASY}
 	orderName, placerName := "fcfs", "memaware"
-	var pc PlacerConfig
+	var pc placerConfig
 	seen := make(map[string]bool)
 	for _, tok := range strings.Fields(in) {
 		k, v, ok := strings.Cut(tok, "=")
@@ -215,8 +152,8 @@ func Parse(s string) (*sched.Batch, error) {
 			}
 			b.Backfill = mode
 		case "placer":
-			if _, ok := placers[v]; !ok {
-				return nil, fmt.Errorf("spec: unknown placer %q (known: %v)", v, Placers())
+			if v != "local" && v != "memaware" && v != "spill" {
+				return nil, fmt.Errorf("spec: unknown placer %q (known: [local memaware spill])", v)
 			}
 			placerName = v
 		case "cap":
@@ -272,11 +209,26 @@ func Parse(s string) (*sched.Batch, error) {
 	}
 
 	b.Order = orders[orderName]()
-	placer, err := placers[placerName](pc)
-	if err != nil {
-		return nil, err
+	switch {
+	case placerName == "memaware":
+		p := core.New()
+		if pc.Cap != nil {
+			p.SlowdownCap = *pc.Cap
+		}
+		if pc.Balance != nil {
+			p.Balance = *pc.Balance
+		}
+		if pc.Shape != nil {
+			p.Shape = *pc.Shape
+		}
+		b.Placer = p
+	case !pc.empty():
+		return nil, fmt.Errorf("spec: placer %q does not accept %s=", placerName, pc.firstSet())
+	case placerName == "local":
+		b.Placer = sched.LocalOnly{}
+	default:
+		b.Placer = sched.Spill{}
 	}
-	b.Placer = placer
 	return b, nil
 }
 

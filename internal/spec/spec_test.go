@@ -128,7 +128,7 @@ func TestParseErrors(t *testing.T) {
 		{"=easy", "malformed"},
 		{"order=lifo", "unknown order"},
 		{"backfill=sometimes", "unknown backfill"},
-		{"placer=teleport", "unknown placer"},
+		{"placer=teleport", `unknown placer "teleport" (known: [local memaware spill])`},
 		{"flavor=vanilla", "unknown term"},
 		{"order=fcfs order=sjf", "duplicate"},
 		{"cap=-1", "non-negative"},
@@ -141,8 +141,9 @@ func TestParseErrors(t *testing.T) {
 		{"patience=-5", "non-negative"},
 		{"patience=1.5", "non-negative"},
 		{"maxscan=-1", "non-negative"},
-		{"placer=local cap=2", "does not accept"},
-		{"placer=spill balance=on", "does not accept"},
+		{"placer=local cap=2", `placer "local" does not accept cap=`},
+		{"placer=spill balance=on", `placer "spill" does not accept balance=`},
+		{"placer=spill shape=off", `placer "spill" does not accept shape=`},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.spec)
@@ -164,31 +165,35 @@ func TestParseReturnsFreshInstances(t *testing.T) {
 	}
 }
 
-func TestRegisterPlacer(t *testing.T) {
-	if err := RegisterPlacer("", nil); err == nil {
-		t.Error("empty registration accepted")
+// FuzzParse feeds arbitrary strings to the one policy entry point. The
+// invariants: Parse never panics, every error carries the "spec: "
+// prefix, and an accepted spec yields a complete scheduler that a
+// second Parse rebuilds, as a new instance under the same name. Every
+// alias and its canonical expansion seed the corpus here; the committed
+// corpus (testdata/fuzz/FuzzParse) adds malformed and duplicate terms.
+func FuzzParse(f *testing.F) {
+	for _, name := range Aliases() {
+		canonical, _ := AliasSpec(name)
+		f.Add(name)
+		f.Add(canonical)
 	}
-	if err := RegisterPlacer("local", func() sched.Placer { return sched.LocalOnly{} }); err == nil {
-		t.Error("duplicate of builtin accepted")
-	}
-	if err := RegisterPlacer("bad name", func() sched.Placer { return sched.LocalOnly{} }); err == nil {
-		t.Error("name with space accepted")
-	}
-	if err := RegisterPlacer("testonly", func() sched.Placer { return sched.LocalOnly{} }); err != nil {
-		t.Fatal(err)
-	}
-	defer delete(placers, "testonly")
-	if err := RegisterPlacer("testonly", func() sched.Placer { return sched.LocalOnly{} }); err == nil {
-		t.Error("duplicate registration accepted")
-	}
-	b, err := Parse("order=sjf placer=testonly")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.Placer.(sched.LocalOnly); !ok {
-		t.Errorf("placer = %T", b.Placer)
-	}
-	if _, err := Parse("placer=testonly cap=2"); err == nil {
-		t.Error("parameter for parameterless registered placer accepted")
-	}
+	f.Fuzz(func(t *testing.T, s string) {
+		b, err := Parse(s)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "spec: ") {
+				t.Fatalf("Parse(%q) error %q lacks the spec: prefix", s, err)
+			}
+			return
+		}
+		if b.Order == nil || b.Placer == nil {
+			t.Fatalf("Parse(%q) = order %v, placer %v", s, b.Order, b.Placer)
+		}
+		again, err := Parse(s)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted once, then failed: %v", s, err)
+		}
+		if again == b || again.Name() != b.Name() {
+			t.Fatalf("Parse(%q) twice: %p %q, then %p %q", s, b, b.Name(), again, again.Name())
+		}
+	})
 }

@@ -44,6 +44,8 @@ func percentileSorted(s []float64, p float64) float64 {
 	if lo == hi {
 		return s[lo]
 	}
+	// Unlike a weighted sum, this form never dips below s[lo] in the
+	// last bit: it is monotone in frac and exact when s[lo] == s[hi].
 	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return s[lo] + (s[hi]-s[lo])*frac
 }

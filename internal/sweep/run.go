@@ -106,7 +106,8 @@ func (o Options) interrupted() bool {
 // Cell describes one simulation configuration to run across seeds.
 type Cell struct {
 	Machine dismem.MachineConfig
-	// Policy is a registered name; Scheduler (factory) overrides it.
+	// Policy is a policy name or spec string (dismem.NewScheduler);
+	// Scheduler (factory) overrides it.
 	Policy string
 	// Scheduler builds a fresh scheduler per seed when set. Cells with
 	// a Scheduler factory hold live code and are never archived to or

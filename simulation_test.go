@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"dismem"
-	"dismem/internal/sched"
+	"dismem/internal/spec"
 	"dismem/internal/sweep"
 )
 
@@ -26,9 +26,9 @@ func TestLegacyNamesRoundTripThroughSpecs(t *testing.T) {
 
 	n := 0
 	for _, name := range dismem.Policies() {
-		spec, ok := dismem.PolicySpec(name)
+		canonical, ok := spec.AliasSpec(name)
 		if !ok {
-			continue // a registered custom policy, not a legacy alias
+			t.Fatalf("policy %q has no alias spec", name)
 		}
 		n++
 		viaName, err := dismem.Simulate(dismem.Options{
@@ -38,13 +38,13 @@ func TestLegacyNamesRoundTripThroughSpecs(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		viaSpec, err := dismem.Simulate(dismem.Options{
-			Machine: mc, Policy: spec, Model: "bandwidth:1,1", Workload: wl,
+			Machine: mc, Policy: canonical, Model: "bandwidth:1,1", Workload: wl,
 		})
 		if err != nil {
-			t.Fatalf("%s via spec %q: %v", name, spec, err)
+			t.Fatalf("%s via spec %q: %v", name, canonical, err)
 		}
 		if !reflect.DeepEqual(viaName.Recorder.Records(), viaSpec.Recorder.Records()) {
-			t.Errorf("policy %q and its spec %q diverged", name, spec)
+			t.Errorf("policy %q and its spec %q diverged", name, canonical)
 		}
 		if viaName.Events != viaSpec.Events {
 			t.Errorf("policy %q: %d events via name, %d via spec", name, viaName.Events, viaSpec.Events)
@@ -57,7 +57,7 @@ func TestLegacyNamesRoundTripThroughSpecs(t *testing.T) {
 
 // TestHeadlineTablesDeterministicThroughParser regenerates the paper's
 // headline and ablation tables (which exercise the legacy names through
-// the parser-backed registry) twice at reduced scale: any
+// the spec parser) twice at reduced scale: any
 // nondeterminism or name/spec mismatch shows up as an output diff. Each
 // render must also equal its golden in testdata/ (<id>_200x1.csv), so a
 // change that moves any scheduling decision, such as a conservative
@@ -352,61 +352,3 @@ func (s *stopAfterObserver) OnSample(smp dismem.Sample) {
 		s.stop()
 	}
 }
-
-// --- registration ---------------------------------------------------------
-
-func TestRegisterPolicyAndPlacer(t *testing.T) {
-	if err := dismem.RegisterPolicy("memaware", nil); err == nil {
-		t.Error("shadowing a builtin alias accepted")
-	}
-	if err := dismem.RegisterPolicy("custom-sjf", func() dismem.Scheduler {
-		s, err := dismem.ParsePolicy("order=sjf placer=local name=custom-sjf")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, p := range dismem.Policies() {
-		if p == "custom-sjf" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registered policy missing from Policies()")
-	}
-	s, err := dismem.NewScheduler("custom-sjf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "custom-sjf" {
-		t.Fatalf("name %q", s.Name())
-	}
-	wl := dismem.SyntheticWorkload(100, 1)
-	if _, err := dismem.Simulate(dismem.Options{Policy: "custom-sjf", Workload: wl}); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := dismem.RegisterPlacer("prefer-empty", func() dismem.Placer { return preferEmptyPlacer{} }); err != nil {
-		t.Fatal(err)
-	}
-	res, err := dismem.Simulate(dismem.Options{
-		Policy:   "order=fcfs backfill=easy placer=prefer-empty",
-		Workload: wl,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Jobs() == 0 {
-		t.Fatal("no jobs ran under the registered placer")
-	}
-}
-
-// preferEmptyPlacer is a trivial user-defined placer: it delegates to
-// the local-only builtin and only renames itself, demonstrating that a
-// registered placer composes with the spec grammar.
-type preferEmptyPlacer struct{ sched.LocalOnly }
-
-func (preferEmptyPlacer) Name() string { return "prefer-empty" }
