@@ -1,43 +1,62 @@
 package dismem_test
 
-// Alloc-budget regression tests: the allocation-discipline refactor
-// took the hot path from ~110 allocations per simulated job to ~2
-// (fresh construction) and ~1 (batched Runner reuse). These tests pin
-// a ceiling well above today's numbers but far below any accidental
-// regression — a new per-dispatch slice or per-event box shows up as
-// tens of thousands of allocations per run and fails loudly here, in
-// ordinary `go test ./...`, without anyone having to read a benchmark.
+// Alloc-budget regression tests. Two bounds pin the per-job allocation
+// contract (DESIGN.md §13):
+//
+//   - A per-run ceiling on allocations per job at 1,000 jobs, for one
+//     Simulate (engine construction included) and for a steady-state
+//     Runner run. Each sits a stated margin above today's measurement.
+//   - A marginal bound: (allocs at 5,000 jobs − allocs at 1,000 jobs) ÷
+//     4,000 must stay at or below marginalAllocsPerJob. Construction and
+//     other per-run costs cancel in the difference, so what is left is
+//     the per-job cost alone. Today's per-job paths allocate almost
+//     nothing, so one new per-job site (a fresh slice per dispatch, a
+//     boxed payload per event, a *Job per decoded line, a reflective
+//     encode per record) adds at least one allocation per job and fails
+//     here, in ordinary `go test ./...`.
+//
+// The marginal bound covers Simulate, Runner.Run, and a streamed SWF
+// replay with JSONL record and trace sinks, the archive-scale path
+// that carries source decode and sink encode.
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"dismem"
+	"dismem/internal/source"
+	"dismem/internal/workload"
 )
 
 const (
 	allocBudgetJobs = 1000
 	// freshAllocsPerJob bounds one Simulate (engine construction
-	// included). Measured ~1.8 today; the seed sat at ~110.
-	freshAllocsPerJob = 12.0
+	// included) at allocBudgetJobs. Measured 0.91, plus a margin of 0.59:
+	// less than one allocation per job, so one new per-job site fails.
+	// The seed sat at ~110.
+	freshAllocsPerJob = 1.5
 	// batchAllocsPerJob bounds a steady-state Runner run, where the
-	// machine, event pool and scratch all carry over. Measured ~1.1.
-	batchAllocsPerJob = 8.0
+	// machine, event pool and scratch all carry over. Measured 0.31,
+	// plus a margin of 0.19.
+	batchAllocsPerJob = 0.5
+	// marginalAllocsPerJob bounds the allocations each further job adds
+	// (see the file comment). Measured 0.12 (Simulate), 0.03 (Runner)
+	// and 0.04 (streamed replay).
+	marginalAllocsPerJob = 0.5
 )
 
-func allocBudgetOptions() dismem.Options {
+func allocBudgetOptions(jobs int) dismem.Options {
 	return dismem.Options{
 		Policy: "memaware", Model: "bandwidth:1,1",
-		Workload: dismem.SyntheticWorkload(allocBudgetJobs, 1),
+		Workload: dismem.SyntheticWorkload(jobs, 1),
 	}
 }
 
-func TestAllocBudgetSimulate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector inflates allocation counts")
-	}
-	opts := allocBudgetOptions()
-	perRun := testing.AllocsPerRun(3, func() {
-		res, err := dismem.Simulate(opts)
+// simulateAllocs returns Simulate's allocations per run of o.
+func simulateAllocs(t *testing.T, o dismem.Options) float64 {
+	return testing.AllocsPerRun(3, func() {
+		res, err := dismem.Simulate(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,8 +64,62 @@ func TestAllocBudgetSimulate(t *testing.T) {
 			t.Fatal("no jobs ran")
 		}
 	})
+}
+
+// runnerAllocs returns a steady-state Runner run's allocations per run
+// of o. AllocsPerRun's own warm-up call doubles as the batch's cold
+// first run, so the measured runs are all steady-state reuse.
+func runnerAllocs(t *testing.T, o dismem.Options) float64 {
+	r := dismem.NewRunner()
+	return testing.AllocsPerRun(3, func() {
+		res, err := r.Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Report.Jobs() == 0 {
+			t.Fatal("no jobs ran")
+		}
+	})
+}
+
+// streamAllocs returns the allocations of one streamed replay of a
+// jobs-long Lublin SWF trace, with JSONL record and trace sinks writing
+// to io.Discard.
+func streamAllocs(t *testing.T, jobs int) float64 {
+	nodes := dismem.DefaultMachine().TotalNodes()
+	cfg := workload.DefaultLublinConfig(0, 1, nodes)
+	cfg.MeanInterarrival = 1800
+	st, err := workload.NewLublinStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var swf bytes.Buffer
+	if err := workload.NewSWFWriter(&swf).WriteAll(source.Gen(st, jobs, 0).Next); err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(3, func() {
+		res, err := dismem.Simulate(dismem.Options{
+			Policy: "memaware", Model: "bandwidth:1,1",
+			Source:     dismem.SWFSource(bytes.NewReader(swf.Bytes()), dismem.SWFReadOptions{DefaultMemPerNode: 32 * 1024}),
+			RecordSink: dismem.NewJSONLSink(io.Discard),
+			TraceSink:  dismem.NewJSONLTraceSink(io.Discard),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Report.Jobs() + res.Report.Rejected; got != jobs {
+			t.Fatalf("replay accounted for %d jobs, want %d", got, jobs)
+		}
+	})
+}
+
+func TestAllocBudgetSimulate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	perRun := simulateAllocs(t, allocBudgetOptions(allocBudgetJobs))
 	if perJob := perRun / allocBudgetJobs; perJob > freshAllocsPerJob {
-		t.Errorf("Simulate allocates %.2f allocs/job (%.0f/run), budget %.1f — the hot path grew an allocation site",
+		t.Errorf("Simulate allocates %.2f allocs/job (%.0f/run), budget %.2f — the hot path grew an allocation site",
 			perJob, perRun, freshAllocsPerJob)
 	}
 }
@@ -55,21 +128,34 @@ func TestAllocBudgetRunner(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates allocation counts")
 	}
-	opts := allocBudgetOptions()
-	r := dismem.NewRunner()
-	// AllocsPerRun's own warm-up call doubles as the batch's cold
-	// first run, so the measured runs are all steady-state reuse.
-	perRun := testing.AllocsPerRun(3, func() {
-		res, err := r.Run(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Report.Jobs() == 0 {
-			t.Fatal("no jobs ran")
-		}
-	})
+	perRun := runnerAllocs(t, allocBudgetOptions(allocBudgetJobs))
 	if perJob := perRun / allocBudgetJobs; perJob > batchAllocsPerJob {
-		t.Errorf("Runner.Run allocates %.2f allocs/job (%.0f/run), budget %.1f — batch reuse is leaking construction work",
+		t.Errorf("Runner.Run allocates %.2f allocs/job (%.0f/run), budget %.2f — batch reuse is leaking construction work",
 			perJob, perRun, batchAllocsPerJob)
+	}
+}
+
+// TestAllocBudgetMarginal pins the per-job allocation cost of each
+// path: the growth in allocations from 1,000 to 5,000 jobs, per job.
+func TestAllocBudgetMarginal(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	const small, large = 1000, 5000
+	for _, c := range []struct {
+		name   string
+		allocs func(jobs int) float64
+	}{
+		{"Simulate", func(n int) float64 { return simulateAllocs(t, allocBudgetOptions(n)) }},
+		{"Runner.Run", func(n int) float64 { return runnerAllocs(t, allocBudgetOptions(n)) }},
+		{"streamed SWF replay", func(n int) float64 { return streamAllocs(t, n) }},
+	} {
+		a, b := c.allocs(small), c.allocs(large)
+		marginal := (b - a) / (large - small)
+		t.Logf("%s: %.0f allocs at %d jobs, %.0f at %d: %.3f allocs per further job", c.name, a, small, b, large, marginal)
+		if marginal > marginalAllocsPerJob {
+			t.Errorf("%s: each further job allocates %.3f times (%.0f allocs at %d jobs, %.0f at %d), budget %.2f — a per-job allocation site",
+				c.name, marginal, a, small, b, large, marginalAllocsPerJob)
+		}
 	}
 }

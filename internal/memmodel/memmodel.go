@@ -17,6 +17,7 @@ package memmodel
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -80,14 +81,20 @@ type Bandwidth struct {
 	Beta, Gamma float64
 }
 
-// Dilation implements Model.
+// Dilation implements Model. A job with no remote penalty (Beta*f is
+// 0) runs undilated however congested the fabric, even where the
+// contention factor overflows to +Inf, which would make the product
+// NaN.
 func (m Bandwidth) Dilation(f, c float64) float64 {
-	f = clamp01(f)
+	penalty := m.Beta * clamp01(f)
+	if penalty == 0 {
+		return 1
+	}
 	over := c - 1
 	if over < 0 {
 		over = 0
 	}
-	return 1 + m.Beta*f*(1+m.Gamma*over)
+	return 1 + penalty*(1+m.Gamma*over)
 }
 
 // Name implements Model.
@@ -108,36 +115,49 @@ func ContentionSensitive(m Model) bool {
 //	"linear:0.5"        Linear{Beta: 0.5}
 //	"step:0.1,0.5"      Step{Beta0: 0.1, Beta: 0.5}
 //	"bandwidth:0.5,1"   Bandwidth{Beta: 0.5, Gamma: 1}
+//
+// Every parameter is a penalty or a contention factor, so it must be a
+// finite number >= 0: a negative one would speed jobs up (dilation
+// below 1), and NaN or ±Inf would reach the records and trace as values
+// JSON cannot encode. The error names the offending parameter.
 func Parse(s string) (Model, error) {
 	name, argstr, _ := strings.Cut(s, ":")
-	var args []float64
+	var params []string
+	switch name {
+	case "linear":
+		params = []string{"beta"}
+	case "step":
+		params = []string{"beta0", "beta"}
+	case "bandwidth":
+		params = []string{"beta", "gamma"}
+	default:
+		return nil, fmt.Errorf("memmodel: unknown model %q", name)
+	}
+	var fields []string
 	if argstr != "" {
-		for _, p := range strings.Split(argstr, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return nil, fmt.Errorf("memmodel: bad parameter %q in %q: %v", p, s, err)
-			}
-			args = append(args, v)
+		fields = strings.Split(argstr, ",")
+	}
+	if len(fields) != len(params) {
+		return nil, fmt.Errorf("memmodel: %s wants %d parameter(s) (%s), got %d", name, len(params), strings.Join(params, ","), len(fields))
+	}
+	args := make([]float64, len(fields))
+	for i, p := range fields {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return nil, fmt.Errorf("memmodel: bad %s parameter %s %q in %q: %v", name, params[i], p, s, err)
 		}
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return nil, fmt.Errorf("memmodel: %s parameter %s = %g in %q must be a finite number >= 0", name, params[i], v, s)
+		}
+		args[i] = v
 	}
 	switch name {
 	case "linear":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("memmodel: linear wants 1 parameter, got %d", len(args))
-		}
 		return Linear{Beta: args[0]}, nil
 	case "step":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("memmodel: step wants 2 parameters, got %d", len(args))
-		}
 		return Step{Beta0: args[0], Beta: args[1]}, nil
-	case "bandwidth":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("memmodel: bandwidth wants 2 parameters, got %d", len(args))
-		}
-		return Bandwidth{Beta: args[0], Gamma: args[1]}, nil
 	default:
-		return nil, fmt.Errorf("memmodel: unknown model %q", name)
+		return Bandwidth{Beta: args[0], Gamma: args[1]}, nil
 	}
 }
 

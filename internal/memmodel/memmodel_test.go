@@ -125,6 +125,65 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) accepted", in)
 		}
 	}
+	// Parameters outside [0, +Inf) are rejected with an error naming
+	// the parameter: a negative penalty would speed jobs up, and NaN or
+	// ±Inf cannot be encoded in the records and trace.
+	for _, c := range []struct{ in, param string }{
+		{"linear:-3", "linear parameter beta"},
+		{"linear:-1e-300", "linear parameter beta"},
+		{"linear:NaN", "linear parameter beta"},
+		{"linear:+Inf", "linear parameter beta"},
+		{"linear:-Inf", "linear parameter beta"},
+		{"step:-1,-1", "step parameter beta0"},
+		{"step:0.1,-1", "step parameter beta"},
+		{"step:0.1,inf", "step parameter beta"},
+		{"bandwidth:NaN,1", "bandwidth parameter beta"},
+		{"bandwidth:1,-0.5", "bandwidth parameter gamma"},
+		{"bandwidth:1,Infinity", "bandwidth parameter gamma"},
+	} {
+		_, err := Parse(c.in)
+		if err == nil || !strings.Contains(err.Error(), c.param+" = ") {
+			t.Errorf("Parse(%q) = %v, want an error naming %q", c.in, err, c.param)
+		}
+	}
+}
+
+// FuzzParse: Parse never panics, and every model it accepts dilates by
+// at least 1, never NaN, for every remote fraction in [0, 1] and every
+// congestion in [0, 16] — a grid of edge values plus the fuzzer's own
+// (f, c) when in range.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"linear:0.5", "step:0.1,0.5", "bandwidth:0.5,1", "linear: 2 ", "linear:0",
+		"bandwidth:0,1e308", "bandwidth:5e-324,1e308", "step:1e308,1e308",
+		"linear:-3", "step:-1,-1", "linear:NaN", "bandwidth:1,-Inf", "linear:1,2", "unknown:1",
+	} {
+		f.Add(s, 0.5, 2.0)
+	}
+	f.Fuzz(func(t *testing.T, spec string, rf, rc float64) {
+		m, err := Parse(spec)
+		if err != nil {
+			if m != nil {
+				t.Fatalf("Parse(%q) returned a model with error %v", spec, err)
+			}
+			return
+		}
+		fs := []float64{0, 5e-324, 1e-300, 0.5, 1}
+		cs := []float64{0, 1, math.Nextafter(1, 2), 2, 16}
+		if rf >= 0 && rf <= 1 {
+			fs = append(fs, rf)
+		}
+		if rc >= 0 && rc <= 16 {
+			cs = append(cs, rc)
+		}
+		for _, fv := range fs {
+			for _, cv := range cs {
+				if d := m.Dilation(fv, cv); !(d >= 1) {
+					t.Fatalf("Parse(%q) = %#v: Dilation(%g, %g) = %g, want >= 1", spec, m, fv, cv, d)
+				}
+			}
+		}
+	})
 }
 
 func TestNames(t *testing.T) {

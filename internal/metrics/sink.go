@@ -2,10 +2,11 @@ package metrics
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
+	"dismem/internal/jsonenc"
 	"dismem/internal/stats"
 )
 
@@ -134,12 +135,15 @@ func (a *Aggregate) fillReport(rp *Report) {
 
 // StreamSink encodes each record as one line — JSONL or CSV — to a
 // buffered writer: flat-memory record export for runs too large to
-// retain. The first write error latches: subsequent Adds are no-ops
-// and Close reports it. The sink does not close the underlying writer.
+// retain. The first error latches: subsequent Adds are no-ops and
+// Close reports it. A record json.Marshal would reject — a non-finite
+// float — is such an error, never a line. The sink does not close the
+// underlying writer.
 type StreamSink struct {
 	bw       *bufio.Writer
 	csv      bool
 	headered bool
+	scratch  []byte // the JSONL line buffer, reused across records
 	err      error
 }
 
@@ -154,9 +158,11 @@ func NewCSVSink(w io.Writer) *StreamSink {
 	return &StreamSink{bw: bufio.NewWriter(w), csv: true}
 }
 
-// jsonRecord fixes the export schema (and field order) independently of
-// the in-memory JobRecord layout, with the derived per-job metrics
-// consumers always recompute anyway.
+// jsonRecord is the JSONL record schema: field order, names and
+// omitempty rules, fixed independently of the in-memory JobRecord
+// layout, with the derived per-job metrics consumers always recompute
+// anyway (wait, bsld). appendRecord writes it; the struct is the
+// encoding/json oracle its tests compare against.
 type jsonRecord struct {
 	ID          int     `json:"id"`
 	User        int     `json:"user"`
@@ -201,19 +207,54 @@ func (s *StreamSink) Add(r JobRecord) {
 		s.err = err
 		return
 	}
-	blob, err := json.Marshal(jsonRecord{
-		ID: r.ID, User: r.User, Nodes: r.Nodes, Submit: r.Submit,
-		Start: r.Start, End: r.End, Wait: r.Wait(), BSld: r.BoundedSlowdown(),
-		Estimate: r.Estimate, Limit: r.Limit, BaseRuntime: r.BaseRuntime,
-		MemPerNode: r.MemPerNode, RemoteMiB: r.RemoteMiB, RemoteFrac: r.RemoteFrac,
-		Dilation: r.Dilation, Killed: r.Killed, Rejected: r.Rejected, Restarts: r.Restarts,
-	})
+	line, err := appendRecord(s.scratch[:0], &r)
 	if err != nil {
 		s.err = err
 		return
 	}
-	blob = append(blob, '\n')
-	_, s.err = s.bw.Write(blob)
+	s.scratch = append(line, '\n')
+	_, s.err = s.bw.Write(s.scratch)
+}
+
+// appendRecord encodes r byte-identically to json.Marshal(jsonRecord)
+// — same field order, omitempty semantics and float form, and the same
+// failure on a non-finite float (pinned by a unit test and
+// FuzzAppendRecord) — without reflection: the record sink runs once
+// per job, and a reflective Marshal there cost about a fifth of a
+// streamed replay's CPU.
+func appendRecord(b []byte, r *JobRecord) ([]byte, error) {
+	var err error
+	b = strconv.AppendInt(append(b, `{"id":`...), int64(r.ID), 10)
+	b = strconv.AppendInt(append(b, `,"user":`...), int64(r.User), 10)
+	b = strconv.AppendInt(append(b, `,"nodes":`...), int64(r.Nodes), 10)
+	b = strconv.AppendInt(append(b, `,"submit":`...), r.Submit, 10)
+	b = strconv.AppendInt(append(b, `,"start":`...), r.Start, 10)
+	b = strconv.AppendInt(append(b, `,"end":`...), r.End, 10)
+	b = strconv.AppendInt(append(b, `,"wait":`...), r.Wait(), 10)
+	if b, err = jsonenc.Float(append(b, `,"bsld":`...), r.BoundedSlowdown()); err != nil {
+		return b, err
+	}
+	b = strconv.AppendInt(append(b, `,"estimate":`...), r.Estimate, 10)
+	b = strconv.AppendInt(append(b, `,"limit":`...), r.Limit, 10)
+	b = strconv.AppendInt(append(b, `,"base_runtime":`...), r.BaseRuntime, 10)
+	b = strconv.AppendInt(append(b, `,"mem_per_node":`...), r.MemPerNode, 10)
+	b = strconv.AppendInt(append(b, `,"remote_mib":`...), r.RemoteMiB, 10)
+	if b, err = jsonenc.Float(append(b, `,"remote_frac":`...), r.RemoteFrac); err != nil {
+		return b, err
+	}
+	if b, err = jsonenc.Float(append(b, `,"dilation":`...), r.Dilation); err != nil {
+		return b, err
+	}
+	if r.Killed {
+		b = append(b, `,"killed":true`...)
+	}
+	if r.Rejected {
+		b = append(b, `,"rejected":true`...)
+	}
+	if r.Restarts != 0 {
+		b = strconv.AppendInt(append(b, `,"restarts":`...), int64(r.Restarts), 10)
+	}
+	return append(b, '}'), nil
 }
 
 // Close implements Sink: it flushes and returns the first error.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
@@ -182,4 +183,76 @@ func TestDiscardSink(t *testing.T) {
 	if err := Discard.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// marshalRecord is the encoding/json oracle for appendRecord:
+// json.Marshal of the jsonRecord schema struct.
+func marshalRecord(r JobRecord) ([]byte, error) {
+	return json.Marshal(jsonRecord{
+		ID: r.ID, User: r.User, Nodes: r.Nodes, Submit: r.Submit,
+		Start: r.Start, End: r.End, Wait: r.Wait(), BSld: r.BoundedSlowdown(),
+		Estimate: r.Estimate, Limit: r.Limit, BaseRuntime: r.BaseRuntime,
+		MemPerNode: r.MemPerNode, RemoteMiB: r.RemoteMiB, RemoteFrac: r.RemoteFrac,
+		Dilation: r.Dilation, Killed: r.Killed, Rejected: r.Rejected, Restarts: r.Restarts,
+	})
+}
+
+// TestAppendRecordMatchesMarshal: the hand-rolled record encoder is
+// byte-identical to json.Marshal(jsonRecord) over a mixed record
+// stream and the float-format edge cases.
+func TestAppendRecordMatchesMarshal(t *testing.T) {
+	recs := fakeRecords(500)
+	for _, f := range []float64{math.Copysign(0, -1), 1e-6, 9.999999999999999e-7, 1e21, 9.999999999999999e20, 1e-7, 5e21, math.MaxFloat64} {
+		recs = append(recs, JobRecord{ID: 1, RemoteFrac: f, Dilation: -f, Restarts: 2})
+	}
+	for i, r := range recs {
+		want, err := marshalRecord(r)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		got, err := appendRecord(nil, &r)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("record %d: appendRecord diverges from json.Marshal\n got %s (%v)\nwant %s", i, got, err, want)
+		}
+	}
+}
+
+// FuzzAppendRecord: appendRecord's line equals json.Marshal(jsonRecord)
+// for every record, or fails where Marshal fails, with Marshal's
+// error; the JSONL sink writes exactly that line or latches exactly
+// that error. The committed corpus covers -0, both float-format
+// boundaries (1e-6 and 1e21), NaN and ±Inf.
+func FuzzAppendRecord(f *testing.F) {
+	f.Add(17, 3, 16, int64(100), int64(160), int64(3760), int64(7200), int64(7200), int64(3600),
+		int64(32768), int64(8192), 0.25, 1.125, false, false, 0)
+	f.Add(23, 0, 4, int64(230), int64(0), int64(0), int64(0), int64(0), int64(0),
+		int64(0), int64(0), 0.0, 1.0, false, true, 0)
+	f.Fuzz(func(t *testing.T, id, user, nodes int, submit, start, end, estimate, limit, base,
+		mem, remote int64, frac, dil float64, killed, rejected bool, restarts int) {
+		r := JobRecord{
+			ID: id, User: user, Nodes: nodes, Submit: submit, Start: start, End: end,
+			Estimate: estimate, Limit: limit, BaseRuntime: base, MemPerNode: mem,
+			RemoteMiB: remote, RemoteFrac: frac, Dilation: dil,
+			Killed: killed, Rejected: rejected, Restarts: restarts,
+		}
+		want, wantErr := marshalRecord(r)
+		got, err := appendRecord(nil, &r)
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("appendRecord error = %v, json.Marshal error = %v", err, wantErr)
+			}
+		} else if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("appendRecord diverges from json.Marshal\n got %s (%v)\nwant %s", got, err, want)
+		}
+		var buf bytes.Buffer
+		s := NewJSONLSink(&buf)
+		s.Add(r)
+		err = s.Close()
+		switch {
+		case wantErr != nil && (err == nil || err.Error() != wantErr.Error() || buf.Len() != 0):
+			t.Fatalf("sink: Close() = %v with %q written, want latched %v", err, buf.Bytes(), wantErr)
+		case wantErr == nil && (err != nil || buf.String() != string(want)+"\n"):
+			t.Fatalf("sink: Close() = %v, wrote %q, want %s", err, buf.Bytes(), want)
+		}
+	})
 }

@@ -347,7 +347,7 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 		}
 		switch r.Kind {
 		case evEnd:
-			p := r.Data.(endPayload)
+			p := r.Data.(*endPayload)
 			rs, ok := e.running[p.ID]
 			if !ok {
 				return nil, fmt.Errorf("sim: checkpoint end event for job %d not in running set", p.ID)

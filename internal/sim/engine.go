@@ -122,10 +122,10 @@ type runningState struct {
 	rate       float64
 	lastUpdate int64
 	endEv      *des.Event
-	// endLive and endKill cache the two boxed endPayload values this job
-	// can carry, so re-dilation reschedules reuse the box instead of
-	// allocating a fresh one per scheduleEnd.
-	endLive, endKill any
+	// endLive and endKill are the two end payloads this job can carry,
+	// carved on first use (see newEndPayload), so a re-dilation
+	// reschedule reuses them instead of carving again.
+	endLive, endKill *endPayload
 }
 
 // Event kinds: every event the engine schedules carries one of these
@@ -136,18 +136,24 @@ type runningState struct {
 const (
 	evArrival  des.Kind = iota + 1 // payload: *workload.Job
 	evPass                         // payload: nil (coalesced scheduling pass)
-	evEnd                          // payload: endPayload
+	evEnd                          // payload: *endPayload
 	evFailure                      // payload: nil (next random failure)
 	evRepair                       // payload: cluster.NodeID (victim under repair)
 	evSample                       // payload: nil (periodic observer tick)
 	evScenario                     // payload: int (index into cfg.Scenario.Events)
 )
 
-// endPayload identifies a scheduled job termination.
+// endPayload identifies a scheduled job termination. End events carry
+// it by pointer, carved from the engine's payload chunk
+// (newEndPayload), and it is never mutated after carving, so a
+// checkpoint's event records may share it with the live engine.
 type endPayload struct {
 	ID     int
 	Killed bool
 }
+
+// endPayloadChunk is the number of end payloads in one chunk, 4 KiB.
+const endPayloadChunk = 256
 
 // Engine runs one simulation. Create with New, then either call Run
 // once (fire-and-forget) or drive it incrementally: Start, any mix of
@@ -227,6 +233,10 @@ type Engine struct {
 	startedIDs []int
 	upScratch  []cluster.NodeID
 	rsPool     []*runningState
+	// ends is the chunk end payloads are carved from. It is only
+	// appended to and is replaced when spent, never reused, so a chunk
+	// lives as long as the longest-running job carved from it.
+	ends []endPayload
 }
 
 // bindHandlers creates the per-family handler values once per engine.
@@ -804,7 +814,7 @@ func (e *Engine) newRunningState() *runningState {
 }
 
 // freeRunningState zeroes a terminated job's state (dropping its job,
-// allocation and payload-box references) and returns it to the free
+// allocation and end-payload references) and returns it to the free
 // list. The caller must already have removed it from e.running.
 func (e *Engine) freeRunningState(rs *runningState) {
 	*rs = runningState{}
@@ -902,24 +912,35 @@ func (e *Engine) scheduleEnd(rs *runningState) {
 		at = now
 	}
 	id := rs.job.ID
-	var payload any
+	var payload *endPayload
 	if killed {
 		if rs.endKill == nil {
-			rs.endKill = endPayload{ID: id, Killed: true}
+			rs.endKill = e.newEndPayload(id, true)
 		}
 		payload = rs.endKill
 	} else {
 		if rs.endLive == nil {
-			rs.endLive = endPayload{ID: id}
+			rs.endLive = e.newEndPayload(id, false)
 		}
 		payload = rs.endLive
 	}
 	rs.endEv = e.sim.ScheduleKind(des.Time(at), evEnd, payload, e.hEnd)
 }
 
+// newEndPayload carves one end payload from the engine's chunk. A
+// pointer in an interface does not allocate, so scheduling an end event
+// costs one chunk slot instead of a boxed value per started job.
+func (e *Engine) newEndPayload(id int, killed bool) *endPayload {
+	if len(e.ends) == cap(e.ends) {
+		e.ends = make([]endPayload, 0, endPayloadChunk)
+	}
+	e.ends = append(e.ends, endPayload{ID: id, Killed: killed})
+	return &e.ends[len(e.ends)-1]
+}
+
 // onEndEvent fires one job's scheduled termination.
 func (e *Engine) onEndEvent(now des.Time, data any) {
-	p := data.(endPayload)
+	p := data.(*endPayload)
 	e.terminate(int64(now), p.ID, p.Killed, false)
 }
 

@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"dismem/internal/cluster"
 	"dismem/internal/metrics"
@@ -186,7 +186,15 @@ type traceOutput struct {
 	nopOutput
 	sink trace.TraceSink
 	m    *cluster.Machine // resolves the racks a dispatch touches
+	// racks and pools are placement scratch, reused across dispatches;
+	// chunk is the memory each dispatch's Racks and Pools are carved
+	// from (see carve).
+	racks, pools, chunk []int
 }
+
+// placementChunk is the length of one placement chunk: 4 KiB of ints,
+// a few hundred dispatches' racks and pools.
+const placementChunk = 512
 
 func (o *traceOutput) submit(now int64, job *workload.Job) {
 	o.sink.Add(trace.Event{
@@ -196,7 +204,7 @@ func (o *traceOutput) submit(now int64, job *workload.Job) {
 }
 
 func (o *traceOutput) dispatch(now int64, job *workload.Job, a *cluster.Allocation, dilation float64) {
-	racks, pools := placementOf(o.m, a)
+	racks, pools := o.placement(a)
 	o.sink.Add(trace.Event{
 		Now: now, Type: trace.Dispatch,
 		Job: job.ID, User: job.User, Nodes: job.Nodes, Submit: job.Submit,
@@ -240,28 +248,45 @@ func (o *traceOutput) scenario(now int64, ev scenario.Event, applied bool) {
 	}
 }
 
-// placementOf flattens an allocation's placement for the trace: the
-// racks its nodes sit in and the pools it borrows from, each ascending.
-// It walks Shares directly (same pool rule as TouchedPools) in one
-// pass; the returned slices are fresh, since trace consumers like the
-// dmserve ring retain events and must never alias engine scratch.
-func placementOf(m *cluster.Machine, a *cluster.Allocation) (racks, pools []int) {
-	nodes := m.Nodes()
+// placement flattens an allocation's placement for the trace: the
+// racks its nodes sit in and the pools it borrows from, each ascending
+// (nil when empty). It walks Shares directly (same pool rule as
+// TouchedPools) in one pass over reused scratch, then carves the two
+// results from the placement chunk.
+func (o *traceOutput) placement(a *cluster.Allocation) (racks, pools []int) {
+	nodes := o.m.Nodes()
+	racks, pools = o.racks[:0], o.pools[:0]
 	for _, sh := range a.Shares {
 		r := nodes[sh.Node].Rack
-		if i := sort.SearchInts(racks, r); i == len(racks) || racks[i] != r {
-			racks = append(racks, 0)
-			copy(racks[i+1:], racks[i:])
-			racks[i] = r
+		if i, ok := slices.BinarySearch(racks, r); !ok {
+			racks = slices.Insert(racks, i, r)
 		}
 		if sh.RemoteMiB > 0 {
 			p := int(sh.Pool)
-			if i := sort.SearchInts(pools, p); i == len(pools) || pools[i] != p {
-				pools = append(pools, 0)
-				copy(pools[i+1:], pools[i:])
-				pools[i] = p
+			if i, ok := slices.BinarySearch(pools, p); !ok {
+				pools = slices.Insert(pools, i, p)
 			}
 		}
 	}
-	return racks, pools
+	o.racks, o.pools = racks, pools
+	return o.carve(racks), o.carve(pools)
+}
+
+// carve copies v into the placement chunk and returns the copy, capped
+// by a full slice expression so an append to it reallocates. Trace
+// consumers such as the dmserve ring and the Perfetto writer keep
+// events, so the copy must be fresh memory that nothing ever writes
+// again: a chunk is only ever appended to, and a spent one is replaced,
+// never reused. A chunk lives as long as the longest-kept event carved
+// from it.
+func (o *traceOutput) carve(v []int) []int {
+	if len(v) == 0 {
+		return nil
+	}
+	if len(v) > cap(o.chunk)-len(o.chunk) {
+		o.chunk = make([]int, 0, max(placementChunk, len(v)))
+	}
+	i := len(o.chunk)
+	o.chunk = append(o.chunk, v...)
+	return o.chunk[i:len(o.chunk):len(o.chunk)]
 }

@@ -168,7 +168,7 @@ func (cp *Checkpoint) State() (*CheckpointState, error) {
 		case evArrival:
 			er.Job = r.Data.(*workload.Job)
 		case evEnd:
-			p := r.Data.(endPayload)
+			p := r.Data.(*endPayload)
 			er.End = &EndPayloadState{ID: p.ID, Killed: p.Killed}
 		case evRepair:
 			id := int(r.Data.(cluster.NodeID))
@@ -327,7 +327,7 @@ func CheckpointFromState(cfg Config, st *CheckpointState) (*Checkpoint, error) {
 			if _, ok := cp.running[er.End.ID]; !ok {
 				return nil, fmt.Errorf("sim: checkpoint end event for job %d not in running set", er.End.ID)
 			}
-			rec.Data = endPayload{ID: er.End.ID, Killed: er.End.Killed}
+			rec.Data = &endPayload{ID: er.End.ID, Killed: er.End.Killed}
 		case evRepair:
 			if er.Node == nil || payloads != 1 {
 				return nil, fmt.Errorf("sim: checkpoint event %d (%s) needs exactly a node payload", i, er.Kind)

@@ -14,17 +14,17 @@
 // engine into a composing stream; layers that own non-composing traces
 // (the dmserve ring) record them instead.
 //
-// The package is dependency-free: events carry plain serializable
-// values, never live engine state.
+// The package depends on no engine package: events carry plain
+// serializable values, never live engine state.
 package trace
 
 import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"math"
 	"strconv"
-	"unicode/utf8"
+
+	"dismem/internal/jsonenc"
 )
 
 // Type tags one trace event.
@@ -138,9 +138,10 @@ func (e Event) MarshalJSON() ([]byte, error) {
 }
 
 // JSONLSink encodes each event as one JSON line to a buffered writer,
-// with the stream-sink discipline: the first write error latches
-// (subsequent Adds are no-ops, Close reports it) and the sink never
-// closes the underlying writer.
+// with the stream-sink discipline: the first error latches (subsequent
+// Adds are no-ops, Close reports it) and the sink never closes the
+// underlying writer. An event json.Marshal rejects — a non-finite
+// dilation — is such an error, never a line.
 type JSONLSink struct {
 	bw      *bufio.Writer
 	scratch []byte
@@ -157,21 +158,26 @@ func (s *JSONLSink) Add(ev Event) {
 	if s.err != nil {
 		return
 	}
-	s.scratch = appendEvent(s.scratch[:0], ev)
-	s.scratch = append(s.scratch, '\n')
+	line, err := appendEvent(s.scratch[:0], ev)
+	if err != nil {
+		s.err = err
+		return
+	}
+	s.scratch = append(line, '\n')
 	_, s.err = s.bw.Write(s.scratch)
 }
 
 // appendEvent encodes ev byte-identically to json.Marshal(jsonEvent)
-// — same field order, omitempty semantics, float and string encoding
-// (pinned by a unit test) — without reflection: the trace hot path
-// runs once per lifecycle event, and a reflective Marshal there costs
-// ~20% of end-to-end simulation throughput.
-func appendEvent(b []byte, ev Event) []byte {
+// — same field order, omitempty semantics, float and string encoding,
+// and the same failure on a non-finite dilation (pinned by a unit test
+// and FuzzAppendEvent) — without reflection: the trace hot path runs
+// once per lifecycle event, and a reflective Marshal there costs ~20%
+// of end-to-end simulation throughput.
+func appendEvent(b []byte, ev Event) ([]byte, error) {
 	b = append(b, `{"now":`...)
 	b = strconv.AppendInt(b, ev.Now, 10)
 	b = append(b, `,"type":`...)
-	b = appendJSONString(b, string(ev.Type))
+	b = jsonenc.String(b, string(ev.Type))
 	if ev.Job != 0 {
 		b = append(b, `,"job":`...)
 		b = strconv.AppendInt(b, int64(ev.Job), 10)
@@ -203,8 +209,10 @@ func appendEvent(b []byte, ev Event) []byte {
 		b = strconv.AppendInt(b, ev.RemoteMiB, 10)
 	}
 	if ev.Dilation != 0 {
-		b = append(b, `,"dilation":`...)
-		b = appendJSONFloat(b, ev.Dilation)
+		var err error
+		if b, err = jsonenc.Float(append(b, `,"dilation":`...), ev.Dilation); err != nil {
+			return b, err
+		}
 	}
 	if ev.Start != 0 {
 		b = append(b, `,"start":`...)
@@ -212,7 +220,7 @@ func appendEvent(b []byte, ev Event) []byte {
 	}
 	if ev.Reason != "" {
 		b = append(b, `,"reason":`...)
-		b = appendJSONString(b, ev.Reason)
+		b = jsonenc.String(b, ev.Reason)
 	}
 	if ev.Restarts != 0 {
 		b = append(b, `,"restarts":`...)
@@ -220,9 +228,9 @@ func appendEvent(b []byte, ev Event) []byte {
 	}
 	if ev.Detail != "" {
 		b = append(b, `,"detail":`...)
-		b = appendJSONString(b, ev.Detail)
+		b = jsonenc.String(b, ev.Detail)
 	}
-	return append(b, '}')
+	return append(b, '}'), nil
 }
 
 func appendIntSlice(b []byte, v []int) []byte {
@@ -234,45 +242,6 @@ func appendIntSlice(b []byte, v []int) []byte {
 		b = strconv.AppendInt(b, int64(x), 10)
 	}
 	return append(b, ']')
-}
-
-// appendJSONString quotes s the way encoding/json does. The fast path
-// covers the strings the engine actually emits (plain ASCII grammar
-// text); anything needing escapes falls back to json.Marshal.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			blob, err := json.Marshal(s)
-			if err != nil { // unreachable for a string
-				return append(append(b, '"'), '"')
-			}
-			return append(b, blob...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// appendJSONFloat formats f exactly as encoding/json's float encoder
-// (shortest round-trip form, 'e' outside [1e-6, 1e21) with a trimmed
-// exponent).
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// encoding/json trims "e+09" to "e+9" etc.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 // Close implements TraceSink: it flushes and returns the first error.

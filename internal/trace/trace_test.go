@@ -48,30 +48,9 @@ func TestAppendEventMatchesMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		got := appendEvent(nil, ev)
-		if !bytes.Equal(got, want) {
-			t.Errorf("case %d: appendEvent diverges from json.Marshal\n got %s\nwant %s", i, got, want)
-		}
-	}
-}
-
-// TestAppendJSONFloatSweep brute-forces the float encoder against
-// encoding/json across magnitudes spanning both format regimes and
-// the boundaries between them.
-func TestAppendJSONFloatSweep(t *testing.T) {
-	vals := []float64{0, 1e-6, 9.999999e-7, 1e21, 9.999e20, 1.5e-9, 2.5e24}
-	for exp := -30; exp <= 30; exp++ {
-		vals = append(vals, 1.7*math.Pow(10, float64(exp)))
-	}
-	for _, v := range vals {
-		for _, f := range []float64{v, -v} {
-			want, err := json.Marshal(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := appendJSONFloat(nil, f); !bytes.Equal(got, want) {
-				t.Errorf("appendJSONFloat(%g) = %s, want %s", f, got, want)
-			}
+		got, err := appendEvent(nil, ev)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("case %d: appendEvent diverges from json.Marshal\n got %s (%v)\nwant %s", i, got, err, want)
 		}
 	}
 }
@@ -315,4 +294,83 @@ func TestJSONLSinkGrowthIsBounded(t *testing.T) {
 	if testing.Verbose() {
 		fmt.Println("allocs/add:", allocs)
 	}
+}
+
+// TestJSONLSinkRejectsNonFinite: an event json.Marshal rejects (a NaN
+// or infinite dilation) latches Marshal's error instead of writing a
+// line Event.MarshalJSON — the /v1/trace form — could not produce.
+func TestJSONLSinkRejectsNonFinite(t *testing.T) {
+	for _, dil := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ev := Event{Now: 5, Type: Dispatch, Job: 1, Dilation: dil}
+		_, want := ev.MarshalJSON()
+		if want == nil {
+			t.Fatalf("MarshalJSON accepted dilation %g", dil)
+		}
+		var buf bytes.Buffer
+		s := NewJSONLSink(&buf)
+		s.Add(Event{Now: 1, Type: Submit, Job: 1})
+		s.Add(ev)
+		s.Add(Event{Now: 9, Type: Terminate, Job: 1, Reason: "done"})
+		if err := s.Close(); err == nil || err.Error() != want.Error() {
+			t.Errorf("dilation %g: Close() = %v, want %v", dil, err, want)
+		}
+		if got := buf.String(); got != "" {
+			t.Errorf("dilation %g: sink flushed %q after failing", dil, got)
+		}
+	}
+}
+
+// fuzzInts widens fuzzer bytes to signed ints (nil when empty, like an
+// event without placement).
+func fuzzInts(b []byte) []int {
+	if len(b) == 0 {
+		return nil
+	}
+	v := make([]int, len(b))
+	for i, x := range b {
+		v[i] = int(int8(x))
+	}
+	return v
+}
+
+// FuzzAppendEvent: appendEvent's line equals json.Marshal of the
+// jsonEvent schema struct (Event.MarshalJSON) for every event, or fails
+// where Marshal fails, with Marshal's error; the JSONL sink writes
+// exactly that line or latches exactly that error. The committed
+// corpus covers -0, both float-format boundaries (1e-6 and 1e21), NaN,
+// ±Inf and strings that need escaping.
+func FuzzAppendEvent(f *testing.F) {
+	f.Add(int64(90061), "dispatch", 1234, 9, 128, int64(90000), []byte{0, 2, 7}, []byte{2},
+		int64(1<<20), int64(4096), 1.0417, int64(0), "", 0, "")
+	f.Add(int64(7), "terminate", 2, 0, 0, int64(0), []byte(nil), []byte(nil),
+		int64(0), int64(0), 0.0, int64(5), "killed", 3, "")
+	f.Fuzz(func(t *testing.T, now int64, typ string, job, user, nodes int, submit int64,
+		racks, pools []byte, local, remote int64, dil float64, start int64,
+		reason string, restarts int, detail string) {
+		ev := Event{
+			Now: now, Type: Type(typ), Job: job, User: user, Nodes: nodes, Submit: submit,
+			Racks: fuzzInts(racks), Pools: fuzzInts(pools),
+			LocalMiB: local, RemoteMiB: remote, Dilation: dil,
+			Start: start, Reason: reason, Restarts: restarts, Detail: detail,
+		}
+		want, wantErr := ev.MarshalJSON()
+		got, err := appendEvent(nil, ev)
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("appendEvent error = %v, json.Marshal error = %v", err, wantErr)
+			}
+		} else if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("appendEvent diverges from json.Marshal\n got %s (%v)\nwant %s", got, err, want)
+		}
+		var buf bytes.Buffer
+		s := NewJSONLSink(&buf)
+		s.Add(ev)
+		err = s.Close()
+		switch {
+		case wantErr != nil && (err == nil || err.Error() != wantErr.Error() || buf.Len() != 0):
+			t.Fatalf("sink: Close() = %v with %q written, want latched %v", err, buf.Bytes(), wantErr)
+		case wantErr == nil && (err != nil || buf.String() != string(want)+"\n"):
+			t.Fatalf("sink: Close() = %v, wrote %q, want %s", err, buf.Bytes(), want)
+		}
+	})
 }

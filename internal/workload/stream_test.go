@@ -112,6 +112,42 @@ func TestSWFDecoderMatchesReadSWF(t *testing.T) {
 	}
 }
 
+// TestSWFDecoderJobsAreOwned: the decoder carves jobs from chunks, so
+// every job it hands out, across several chunks, must be its own
+// memory: writing through one pointer changes no other job, and what
+// the caller keeps stays what was decoded.
+func TestSWFDecoderJobsAreOwned(t *testing.T) {
+	wl := MustGenerate(DefaultGenConfig(3*swfJobChunk+5, 5, 128))
+	var buf bytes.Buffer
+	if err := WriteSWF(&buf, wl); err != nil {
+		t.Fatal(err)
+	}
+	batch, _, err := ReadSWF(bytes.NewReader(buf.Bytes()), SWFReadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewSWFDecoder(bytes.NewReader(buf.Bytes()), SWFReadOptions{})
+	var kept []*Job
+	for {
+		j, ok := d.Next()
+		if !ok {
+			break
+		}
+		kept = append(kept, j)
+		j.User = -j.ID // scribble on the job just handed out
+	}
+	if len(kept) != len(batch.Jobs) {
+		t.Fatalf("decoded %d jobs, want %d (err %v)", len(kept), len(batch.Jobs), d.Err())
+	}
+	for i, j := range kept {
+		want := *batch.Jobs[i]
+		want.User = -want.ID
+		if !sameJob(j, &want) {
+			t.Fatalf("job %d: kept %+v, want %+v", i, j, want)
+		}
+	}
+}
+
 func TestSWFDecoderMaxJobsAndErrors(t *testing.T) {
 	trace := "; header\n" +
 		"1 0 -1 100 4 -1 -1 4 200 1024 1 7 0 -1 -1 -1 -1 -1\n" +

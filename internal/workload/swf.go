@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 )
 
 // The Standard Workload Format (SWF, Feitelson's Parallel Workloads
@@ -53,7 +54,11 @@ type SWFDecoder struct {
 	err     error
 	done    bool
 	v       [18]int64 // per-line field scratch, reused across calls
+	jobs    []Job     // the chunk Next hands jobs out from
 }
+
+// swfJobChunk is the number of jobs in one decoder chunk, about 4.5 KiB.
+const swfJobChunk = 64
 
 // NewSWFDecoder returns a decoder reading from r.
 func NewSWFDecoder(r io.Reader, opt SWFReadOptions) *SWFDecoder {
@@ -127,7 +132,11 @@ func NewSWFDecoderAt(r io.Reader, st SWFDecoderState) *SWFDecoder {
 
 // Next returns the next usable job, or (nil, false) at end of trace, on
 // the first malformed line, or once opt.MaxJobs jobs have been yielded.
-// Check Err after the stream ends to distinguish the cases.
+// Check Err after the stream ends to distinguish the cases. Each job is
+// its own memory, which the caller owns: jobs are carved from a chunk
+// of swfJobChunk that the decoder only ever appends to and replaces
+// when spent, never reuses, so a chunk lives as long as the
+// longest-kept job carved from it.
 func (d *SWFDecoder) Next() (*Job, bool) {
 	if d.done || (d.opt.MaxJobs > 0 && d.emitted >= d.opt.MaxJobs) {
 		return nil, false
@@ -147,13 +156,17 @@ func (d *SWFDecoder) Next() (*Job, bool) {
 			d.fail(fmt.Errorf("workload: swf line %d: %d fields, want 18", d.lineNo, n))
 			return nil, false
 		}
-		j := jobFromSWF(d.v[:], d.opt)
-		if j == nil {
+		j, ok := jobFromSWF(d.v[:], d.opt)
+		if !ok {
 			d.skipped++
 			continue
 		}
 		d.emitted++
-		return j, true
+		if len(d.jobs) == cap(d.jobs) {
+			d.jobs = make([]Job, 0, swfJobChunk)
+		}
+		d.jobs = append(d.jobs, j)
+		return &d.jobs[len(d.jobs)-1], true
 	}
 	if err := d.sc.Err(); err != nil {
 		d.fail(fmt.Errorf("workload: reading swf: %w", err))
@@ -265,7 +278,9 @@ func ReadSWF(r io.Reader, opt SWFReadOptions) (*Workload, int, error) {
 	return w, d.Skipped(), nil
 }
 
-func jobFromSWF(v []int64, opt SWFReadOptions) *Job {
+// jobFromSWF builds the job of one parsed record, or reports false for
+// an unusable record (zero size, zero runtime, negative submit).
+func jobFromSWF(v []int64, opt SWFReadOptions) (Job, bool) {
 	procs := v[4]
 	if procs <= 0 {
 		procs = v[7] // fall back to requested processors
@@ -276,7 +291,7 @@ func jobFromSWF(v []int64, opt SWFReadOptions) *Job {
 		estimate = runtime // archive convention when request is absent
 	}
 	if v[0] <= 0 || v[1] < 0 || procs <= 0 || runtime <= 0 || estimate <= 0 {
-		return nil
+		return Job{}, false
 	}
 	nodes := int(procs)
 	coresPerNode := 0
@@ -306,7 +321,7 @@ func jobFromSWF(v []int64, opt SWFReadOptions) *Job {
 		// runtime even past the request on some systems.
 		estimate = runtime
 	}
-	return &Job{
+	return Job{
 		ID:           int(v[0]),
 		User:         int(v[11]),
 		Group:        int(v[12]),
@@ -316,7 +331,7 @@ func jobFromSWF(v []int64, opt SWFReadOptions) *Job {
 		MemPerNode:   memPerNode,
 		Estimate:     estimate,
 		BaseRuntime:  runtime,
-	}
+	}, true
 }
 
 // SWFWriter serialises jobs to SWF one at a time: the streaming half of
@@ -324,8 +339,9 @@ func jobFromSWF(v []int64, opt SWFReadOptions) *Job {
 // NewSWFWriter, optionally emit Comment lines, then WriteJob per job and
 // Flush once at the end.
 type SWFWriter struct {
-	bw  *bufio.Writer
-	err error
+	bw   *bufio.Writer
+	line []byte // WriteJob's line buffer, reused across jobs
+	err  error
 }
 
 // NewSWFWriter returns a writer encoding to w.
@@ -356,9 +372,20 @@ func (sw *SWFWriter) WriteJob(j *Job) error {
 		procs = j.Nodes * j.CoresPerNode
 		memKBPerProc = j.MemPerNode * 1024 / int64(j.CoresPerNode)
 	}
-	_, err := fmt.Fprintf(sw.bw, "%d %d -1 %d %d -1 -1 %d %d %d 1 %d %d -1 -1 -1 -1 -1\n",
-		j.ID, j.Submit, j.BaseRuntime, procs,
-		procs, j.Estimate, memKBPerProc, j.User, j.Group)
+	// Fields 1–18: id, submit, wait, run time, procs, cpu, used memory,
+	// requested procs, requested time, requested memory, status, user,
+	// group, then five unknowns.
+	b := strconv.AppendInt(sw.line[:0], int64(j.ID), 10)
+	b = strconv.AppendInt(append(b, ' '), j.Submit, 10)
+	b = strconv.AppendInt(append(b, " -1 "...), j.BaseRuntime, 10)
+	b = strconv.AppendInt(append(b, ' '), int64(procs), 10)
+	b = strconv.AppendInt(append(b, " -1 -1 "...), int64(procs), 10)
+	b = strconv.AppendInt(append(b, ' '), j.Estimate, 10)
+	b = strconv.AppendInt(append(b, ' '), memKBPerProc, 10)
+	b = strconv.AppendInt(append(b, " 1 "...), int64(j.User), 10)
+	b = strconv.AppendInt(append(b, ' '), int64(j.Group), 10)
+	sw.line = append(b, " -1 -1 -1 -1 -1\n"...)
+	_, err := sw.bw.Write(sw.line)
 	sw.setErr(err)
 	return sw.err
 }

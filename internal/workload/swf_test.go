@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -81,6 +82,43 @@ func TestSWFRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSWFWriteJobLineFormat pins WriteJob's append encoder to the
+// fmt format it replaced, over random jobs with and without a
+// per-node core count.
+func TestSWFWriteJobLineFormat(t *testing.T) {
+	rng := stats.NewRNG(3)
+	for i := 0; i < 2000; i++ {
+		j := &Job{
+			ID: rng.Intn(1 << 30), User: rng.Intn(1000) - 5, Group: rng.Intn(64) - 1,
+			Submit: rng.Int63n(1<<40) - 10, Nodes: rng.Intn(4096),
+			MemPerNode: rng.Int63n(1 << 20), Estimate: rng.Int63n(1<<24) - 1,
+			BaseRuntime: rng.Int63n(1 << 24),
+		}
+		if i%2 == 1 {
+			j.CoresPerNode = 1 + rng.Intn(128)
+		}
+		procs, memKBPerProc := j.Nodes, j.MemPerNode*1024
+		if j.CoresPerNode > 0 {
+			procs = j.Nodes * j.CoresPerNode
+			memKBPerProc = j.MemPerNode * 1024 / int64(j.CoresPerNode)
+		}
+		want := fmt.Sprintf("%d %d -1 %d %d -1 -1 %d %d %d 1 %d %d -1 -1 -1 -1 -1\n",
+			j.ID, j.Submit, j.BaseRuntime, procs,
+			procs, j.Estimate, memKBPerProc, j.User, j.Group)
+		var buf bytes.Buffer
+		sw := NewSWFWriter(&buf)
+		if err := sw.WriteJob(j); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); got != want {
+			t.Fatalf("job %+v:\n got %q\nwant %q", j, got, want)
+		}
 	}
 }
 
