@@ -419,6 +419,57 @@ func BenchmarkCheckpointFork(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "forks/s")
 }
 
+// BenchmarkForkQuery measures one what-if query in process, the work a
+// dmserve query does between decoding its body and encoding its
+// answer: Fork a late checkpoint of a 2,000-job memaware run, with at
+// least 1,500 records behind it, at a 1,800 s horizon, Run the future,
+// and read its fairness. It reports queries/s, allocs/query and
+// B/query. A query's cost should follow its future, not the prefix the
+// checkpoint carries.
+func BenchmarkForkQuery(b *testing.B) {
+	wl := dismem.SyntheticWorkload(2000, 1)
+	h, err := dismem.New(dismem.Options{Policy: "memaware", Workload: wl})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h.RunUntil(wl.Jobs[len(wl.Jobs)-1].Submit)
+	cp, err := h.Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	query := func(horizon int64) *dismem.Result {
+		f, err := dismem.Fork(cp, dismem.ForkOptions{Horizon: horizon})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := f.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	if prefix := query(cp.At()).Report; prefix.Completed < 1500 {
+		b.Fatalf("checkpoint holds %d completed records, want at least 1,500", prefix.Completed)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs, total := ms.Mallocs, ms.TotalAlloc
+	jain := 0.0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		jain += query(cp.At() + 1800).Recorder.Fairness().JainWait
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	if jain <= 0 {
+		b.Fatal("queries read no fairness")
+	}
+	n := float64(b.N)
+	b.ReportMetric(n/b.Elapsed().Seconds(), "queries/s")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/n, "allocs/query")
+	b.ReportMetric(float64(ms.TotalAlloc-total)/n, "B/query")
+}
+
 // BenchmarkCheckpointEncode measures SaveCheckpoint throughput: the
 // mid-trace checkpoint is serialized to its durable envelope (magic,
 // version, schema fingerprint, JSON payload, SHA-256 digest) per

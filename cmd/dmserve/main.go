@@ -55,6 +55,11 @@ import (
 // state persisted, restart with the same -ckpt-dir to continue.
 const exitInterrupted = 3
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot hold
+// connections open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
@@ -187,7 +192,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "dmserve: listening on %s (policy %s, checkpoint every %ds keep %d in %s)\n",

@@ -160,3 +160,59 @@ func TestConcurrentForksBitIdentical(t *testing.T) {
 		sameResults(t, "concurrent fork", serial, results[g])
 	}
 }
+
+// TestForksWhileParentRuns extends the concurrency contract to a live
+// parent. A checkpoint shares the parent's retained records, including
+// the part-full last chunk the parent keeps appending into; here the
+// parent steps to completion while 8 goroutines fork and run the
+// checkpoint. Under -race, every fork must equal a serial fork, and
+// the parent must finish equal to a run that was never checkpointed.
+func TestForksWhileParentRuns(t *testing.T) {
+	opts := forkOpts(dismem.SyntheticWorkload(800, 4))
+	unforked := mustRun(t, mustNew(t, opts))
+	parent := mustNew(t, opts)
+	parent.RunUntil(20000)
+	cp, err := parent.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := mustRun(t, mustFork(t, cp, dismem.ForkOptions{}))
+	// A prefix that is not a whole number of 256-record chunks leaves
+	// the shared last chunk part full, so the parent writes into it.
+	prefix := len(mustRun(t, mustFork(t, cp, dismem.ForkOptions{Horizon: cp.At()})).Recorder.Records())
+	if prefix == 0 || prefix%256 == 0 {
+		t.Fatalf("checkpoint holds %d records; want a part-full last chunk", prefix)
+	}
+
+	const goroutines = 8
+	results := make([]*dismem.Result, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			f, err := dismem.Fork(cp, dismem.ForkOptions{})
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			results[g], errs[g] = f.Run()
+		}(g)
+	}
+	final, err := parent.Run()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < goroutines; g++ {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		sameResults(t, "fork beside a running parent", serial, results[g])
+	}
+	if len(final.Recorder.Records()) <= prefix+256 {
+		t.Fatalf("parent appended only %d records past the checkpoint", len(final.Recorder.Records())-prefix)
+	}
+	sameResults(t, "parent after checkpoint", unforked, final)
+}

@@ -77,15 +77,23 @@ func (r *JobRecord) BoundedSlowdown() float64 {
 // estimates — and Records returns nil; memory is O(users), independent
 // of job count). Feed Observe before every machine state change.
 //
+// Both modes fold each record into one running reduction (fold) as it
+// arrives, so every Report field but the four percentiles is the same
+// left fold in either mode. A retain-mode Report selects its exact
+// percentiles from the retained records (stats.PercentileInPlace):
+// O(records), no sort.
+//
 // Memory bounds (DESIGN.md §7): the usage integrals and makespan
 // tracking are O(1) in both modes — Observe never retains samples, it
 // integrates them — and the per-user fairness tallies are O(users).
-// Only the record slice scales with job count, and only in retain mode.
+// Only the retained records scale with job count, and only in retain
+// mode; Clone shares them rather than copying them.
 type Recorder struct {
-	retain  bool
-	records []JobRecord
-	agg     *Aggregate // bounded-mode online reduction (nil when retaining)
-	byUser  map[int]*userAcc
+	retain bool
+	fold   fold          // retain mode's running reduction (bounded mode folds in agg)
+	chunks [][]JobRecord // retained records, recordChunk to a chunk
+	agg    *Aggregate    // bounded-mode online reduction (nil when retaining)
+	byUser map[int]*userAcc
 
 	lastT     int64
 	haveT     bool
@@ -97,6 +105,12 @@ type Recorder struct {
 	firstSubmit, lastEnd int64
 	haveSubmit           bool
 }
+
+// recordChunk is the number of retained records per chunk: large
+// enough that a chunk list is a small fraction of the records it
+// holds, small enough that the one chunk a fork copies on its first
+// append is cheap.
+const recordChunk = 256
 
 // NewRecorder returns an empty retain-all recorder.
 func NewRecorder() *Recorder {
@@ -116,33 +130,36 @@ func NewBoundedRecorder() *Recorder {
 // mode.
 func (rec *Recorder) Bounded() bool { return !rec.retain }
 
-// Clone returns an independent deep copy of the recorder's state —
-// retained records, online aggregates, per-user fairness tallies and
-// usage integrals — for simulation checkpointing. A clone keeps its
-// original's mode, so a bounded run's forks stay bounded.
+// Clone returns an independent copy of the recorder's state —
+// retained records, running reduction, online aggregates, per-user
+// fairness tallies and usage integrals — for simulation checkpointing.
+// A clone keeps its original's mode, so a bounded run's forks stay
+// bounded.
+//
+// The clone shares the retained records instead of copying them: every
+// chunk but the last is full and never written again, and the clone's
+// view of the last one has its capacity clipped to its length. The
+// original then appends only past the clone's length, and the clone's
+// first append copies that one chunk, so neither ever writes memory
+// the other can read. Clone only reads rec, so any number of
+// goroutines may clone one recorder at once.
 func (rec *Recorder) Clone() *Recorder {
-	c := &Recorder{
-		retain:      rec.retain,
-		records:     append([]JobRecord(nil), rec.records...),
-		byUser:      make(map[int]*userAcc, len(rec.byUser)),
-		lastT:       rec.lastT,
-		haveT:       rec.haveT,
-		nodeInt:     rec.nodeInt,
-		localInt:    rec.localInt,
-		poolInt:     rec.poolInt,
-		demandInt:   rec.demandInt,
-		firstSubmit: rec.firstSubmit,
-		lastEnd:     rec.lastEnd,
-		haveSubmit:  rec.haveSubmit,
+	c := *rec
+	c.chunks = append([][]JobRecord(nil), rec.chunks...)
+	if n := len(c.chunks); n > 0 {
+		last := c.chunks[n-1]
+		c.chunks[n-1] = last[:len(last):len(last)]
 	}
 	if rec.agg != nil {
 		c.agg = rec.agg.Clone()
 	}
+	c.byUser = make(map[int]*userAcc, len(rec.byUser))
+	slab := make([]userAcc, 0, len(rec.byUser))
 	for u, a := range rec.byUser {
-		acc := *a
-		c.byUser[u] = &acc
+		slab = append(slab, *a)
+		c.byUser[u] = &slab[len(slab)-1]
 	}
-	return c
+	return &c
 }
 
 // Observe integrates current usage up to time now. Call it with the
@@ -177,7 +194,7 @@ func (rec *Recorder) OnSubmit(now int64) {
 // accumulators either way.
 func (rec *Recorder) Add(r JobRecord) {
 	if rec.retain {
-		rec.records = append(rec.records, r)
+		rec.keep(&r)
 	} else {
 		rec.agg.Add(r)
 	}
@@ -187,25 +204,50 @@ func (rec *Recorder) Add(r JobRecord) {
 	}
 }
 
+// keep folds r into the running reduction and retains it. A new chunk
+// starts when the last is full; a last chunk whose capacity Clone
+// clipped is shared with the recorder it was cloned from or into, so
+// it is copied into a chunk of its own before the write.
+func (rec *Recorder) keep(r *JobRecord) {
+	rec.fold.add(r)
+	n := len(rec.chunks)
+	if n == 0 || len(rec.chunks[n-1]) == recordChunk {
+		rec.chunks = append(rec.chunks, make([]JobRecord, 0, recordChunk))
+		n++
+	}
+	last := rec.chunks[n-1]
+	if len(last) == cap(last) {
+		last = append(make([]JobRecord, 0, recordChunk), last...)
+	}
+	rec.chunks[n-1] = append(last, *r)
+}
+
 // Records returns a copy of the job records, so callers can sort or
 // mutate freely without corrupting recorder state. It returns nil for
 // a bounded recorder (nothing is retained).
 func (rec *Recorder) Records() []JobRecord {
-	if len(rec.records) == 0 {
+	n := len(rec.chunks)
+	if n == 0 {
 		return nil
 	}
-	return append([]JobRecord(nil), rec.records...)
+	out := make([]JobRecord, 0, (n-1)*recordChunk+len(rec.chunks[n-1]))
+	for _, c := range rec.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // Report reduces the recorder to summary metrics for a machine built
-// from cfg.
+// from cfg. It never writes the recorder, so reports of one recorder
+// may be taken concurrently.
 func (rec *Recorder) Report(cfg cluster.Config) *Report {
 	rp := &Report{
 		FirstSubmit: rec.firstSubmit,
 		LastEnd:     rec.lastEnd,
 	}
 	if rec.retain {
-		rec.exactReport(rp)
+		rec.fold.fill(rp)
+		rec.exactPercentiles(rp)
 	} else {
 		rec.agg.fillReport(rp)
 	}
@@ -231,39 +273,85 @@ func (rec *Recorder) Report(cfg cluster.Config) *Report {
 	return rp
 }
 
-// exactReport fills the per-job share of a report from the retained
-// records: exact percentiles from fully materialised arrays.
-func (rec *Recorder) exactReport(rp *Report) {
-	var waits, bslds []float64
-	var remoteDils []float64
-	for i := range rec.records {
-		r := &rec.records[i]
-		switch {
-		case r.Rejected:
-			rp.Rejected++
-			continue
-		case r.Killed:
-			rp.Killed++
-		default:
-			rp.Completed++
-		}
-		rp.NodeHours += float64(r.Nodes) * float64(r.Runtime()) / 3600
-		waits = append(waits, float64(r.Wait()))
-		bslds = append(bslds, r.BoundedSlowdown())
-		rp.Wait.Add(float64(r.Wait()))
-		rp.Response.Add(float64(r.Response()))
-		rp.BSld.Add(r.BoundedSlowdown())
-		rp.DilationAll.Add(r.Dilation)
-		if r.RemoteMiB > 0 {
-			rp.RemoteJobs++
-			remoteDils = append(remoteDils, r.Dilation)
-			rp.DilationRemote.Add(r.Dilation)
+// exactPercentiles fills the report's four percentile fields from the
+// retained records. One buffer, allocated per call, holds each
+// quantity in turn, and stats.PercentileInPlace selects from it, so a
+// report costs O(records) with no sort.
+func (rec *Recorder) exactPercentiles(rp *Report) {
+	buf := rec.gather(make([]float64, 0, rp.Completed+rp.Killed), func(r *JobRecord) (float64, bool) {
+		return float64(r.Wait()), !r.Rejected
+	})
+	rp.P95Wait = stats.PercentileInPlace(buf, 95)
+	rp.P99Wait = stats.PercentileInPlace(buf, 99)
+	buf = rec.gather(buf, func(r *JobRecord) (float64, bool) {
+		return r.BoundedSlowdown(), !r.Rejected
+	})
+	rp.P95BSld = stats.PercentileInPlace(buf, 95)
+	buf = rec.gather(buf, func(r *JobRecord) (float64, bool) {
+		return r.Dilation, !r.Rejected && r.RemoteMiB > 0
+	})
+	rp.P95DilationRemote = stats.PercentileInPlace(buf, 95)
+}
+
+// gather refills buf with val of every retained record val selects.
+func (rec *Recorder) gather(buf []float64, val func(*JobRecord) (float64, bool)) []float64 {
+	buf = buf[:0]
+	for _, c := range rec.chunks {
+		for i := range c {
+			if v, ok := val(&c[i]); ok {
+				buf = append(buf, v)
+			}
 		}
 	}
-	rp.P95Wait = stats.Percentile(waits, 95)
-	rp.P99Wait = stats.Percentile(waits, 99)
-	rp.P95BSld = stats.Percentile(bslds, 95)
-	rp.P95DilationRemote = stats.Percentile(remoteDils, 95)
+	return buf
+}
+
+// fold is the running left fold of a record stream into the Report's
+// per-job quantities other than the percentiles: the counts, the
+// node-hours and the five Welford accumulators. Both recorder modes
+// fold every record through add in record order, so these fields are
+// bit-identical between the modes; Clone copies a fold by value.
+type fold struct {
+	Completed, Killed, Rejected int
+	RemoteJobs                  int
+	NodeHours                   float64
+
+	Wait, Response, BSld        stats.Online
+	DilationAll, DilationRemote stats.Online
+}
+
+// add folds one record in. It returns the record's wait and bounded
+// slowdown, and false for a rejected record, which only counts.
+func (f *fold) add(r *JobRecord) (wait, bsld float64, ok bool) {
+	switch {
+	case r.Rejected:
+		f.Rejected++
+		return 0, 0, false
+	case r.Killed:
+		f.Killed++
+	default:
+		f.Completed++
+	}
+	f.NodeHours += float64(r.Nodes) * float64(r.Runtime()) / 3600
+	wait, bsld = float64(r.Wait()), r.BoundedSlowdown()
+	f.Wait.Add(wait)
+	f.Response.Add(float64(r.Response()))
+	f.BSld.Add(bsld)
+	f.DilationAll.Add(r.Dilation)
+	if r.RemoteMiB > 0 {
+		f.RemoteJobs++
+		f.DilationRemote.Add(r.Dilation)
+	}
+	return wait, bsld, true
+}
+
+// fill writes the fold's share of a report.
+func (f *fold) fill(rp *Report) {
+	rp.Completed, rp.Killed, rp.Rejected = f.Completed, f.Killed, f.Rejected
+	rp.RemoteJobs = f.RemoteJobs
+	rp.NodeHours = f.NodeHours
+	rp.Wait, rp.Response, rp.BSld = f.Wait, f.Response, f.BSld
+	rp.DilationAll, rp.DilationRemote = f.DilationAll, f.DilationRemote
 }
 
 // Report is the reduced result of one simulation run.

@@ -31,23 +31,18 @@ func (discardSink) Add(JobRecord) {}
 func (discardSink) Close() error  { return nil }
 
 // Aggregate reduces a job-record stream to the Report's per-job
-// quantities in bounded memory: exact counts, means, min/max and
-// variance via stats.Online — the identical accumulation the
-// retain-all path performs — plus hybrid percentile estimators for the
-// wait, slowdown and dilation percentiles the exact path computes from
-// retained arrays. The hybrid estimators (stats.Quantile) are exact up
-// to stats.ExactQuantileBuffer observations — so small bounded runs
-// report the same percentiles a retain-all run would — and switch to
-// the O(1)-memory P² approximation beyond, bit-identical there to a
-// pure P² stream. It is both the Recorder's bounded-mode core and a
-// standalone Sink.
+// quantities in bounded memory: the recorder's running fold (exact
+// counts, node-hours, and means, min/max and variance via stats.Online,
+// the same left fold a retain-all recorder keeps) plus hybrid
+// percentile estimators for the wait, slowdown and dilation
+// percentiles the exact path selects from retained records. The hybrid
+// estimators (stats.Quantile) are exact up to stats.ExactQuantileBuffer
+// observations — so small bounded runs report the same percentiles a
+// retain-all run would — and switch to the O(1)-memory P²
+// approximation beyond, bit-identical there to a pure P² stream. It is
+// both the Recorder's bounded-mode core and a standalone Sink.
 type Aggregate struct {
-	Completed, Killed, Rejected int
-	RemoteJobs                  int
-	NodeHours                   float64
-
-	Wait, Response, BSld        stats.Online
-	DilationAll, DilationRemote stats.Online
+	fold
 
 	p95Wait, p99Wait, p95BSld, p95DilRemote *stats.Quantile
 }
@@ -73,32 +68,17 @@ func (a *Aggregate) Clone() *Aggregate {
 	return &c
 }
 
-// Add implements Sink. The accumulation order mirrors Recorder.Report's
-// exact loop operation for operation, so every non-percentile Report
-// field is bit-identical between the two modes.
+// Add implements Sink: the record goes through the fold, then into the
+// percentile estimators.
 func (a *Aggregate) Add(r JobRecord) {
-	switch {
-	case r.Rejected:
-		a.Rejected++
+	wait, bsld, ok := a.add(&r)
+	if !ok {
 		return
-	case r.Killed:
-		a.Killed++
-	default:
-		a.Completed++
 	}
-	a.NodeHours += float64(r.Nodes) * float64(r.Runtime()) / 3600
-	wait := float64(r.Wait())
-	bsld := r.BoundedSlowdown()
-	a.Wait.Add(wait)
-	a.Response.Add(float64(r.Response()))
-	a.BSld.Add(bsld)
-	a.DilationAll.Add(r.Dilation)
 	a.p95Wait.Add(wait)
 	a.p99Wait.Add(wait)
 	a.p95BSld.Add(bsld)
 	if r.RemoteMiB > 0 {
-		a.RemoteJobs++
-		a.DilationRemote.Add(r.Dilation)
 		a.p95DilRemote.Add(r.Dilation)
 	}
 }
@@ -122,11 +102,7 @@ func (a *Aggregate) P95DilationRemote() float64 { return a.p95DilRemote.Value() 
 // fillReport writes the aggregate's share of a Report: everything the
 // exact path derives from retained records.
 func (a *Aggregate) fillReport(rp *Report) {
-	rp.Completed, rp.Killed, rp.Rejected = a.Completed, a.Killed, a.Rejected
-	rp.RemoteJobs = a.RemoteJobs
-	rp.NodeHours = a.NodeHours
-	rp.Wait, rp.Response, rp.BSld = a.Wait, a.Response, a.BSld
-	rp.DilationAll, rp.DilationRemote = a.DilationAll, a.DilationRemote
+	a.fill(rp)
 	rp.P95Wait = a.P95Wait()
 	rp.P99Wait = a.P99Wait()
 	rp.P95BSld = a.P95BSld()

@@ -51,12 +51,12 @@ func (a *Aggregate) State() AggregateState {
 
 // AggregateFromState rebuilds an aggregate from a captured state.
 func AggregateFromState(st AggregateState) (*Aggregate, error) {
-	a := &Aggregate{
+	a := &Aggregate{fold: fold{
 		Completed: st.Completed, Killed: st.Killed, Rejected: st.Rejected,
 		RemoteJobs: st.RemoteJobs, NodeHours: st.NodeHours,
 		Wait: st.Wait, Response: st.Response, BSld: st.BSld,
 		DilationAll: st.DilationAll, DilationRemote: st.DilationRemote,
-	}
+	}}
 	var err error
 	if a.p95Wait, err = stats.QuantileFromState(st.P95Wait); err != nil {
 		return nil, fmt.Errorf("metrics: aggregate p95 wait: %w", err)
@@ -109,7 +109,7 @@ type RecorderState struct {
 func (rec *Recorder) State() RecorderState {
 	st := RecorderState{
 		Retain:      rec.retain,
-		Records:     append([]JobRecord(nil), rec.records...),
+		Records:     rec.Records(),
 		LastT:       rec.lastT,
 		HaveT:       rec.haveT,
 		NodeInt:     rec.nodeInt,
@@ -144,7 +144,6 @@ func RecorderFromState(st RecorderState) (*Recorder, error) {
 	}
 	rec := &Recorder{
 		retain:      st.Retain,
-		records:     append([]JobRecord(nil), st.Records...),
 		byUser:      make(map[int]*userAcc, len(st.ByUser)),
 		lastT:       st.LastT,
 		haveT:       st.HaveT,
@@ -162,6 +161,9 @@ func RecorderFromState(st RecorderState) (*Recorder, error) {
 			return nil, err
 		}
 		rec.agg = agg
+	}
+	for i := range st.Records {
+		rec.keep(&st.Records[i])
 	}
 	prev := -1
 	first := true

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -449,15 +451,14 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	s.queriesInflight.Add(1)
 	defer s.queriesInflight.Add(-1)
 
-	var req WhatIfRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.queriesErrored.Add(1)
-		http.Error(w, fmt.Sprintf("bad what-if body: %v", err), http.StatusBadRequest)
-		return
+	var (
+		resp *WhatIfResponse
+		res  *dismem.Result
+	)
+	req, err := decodeWhatIf(w, r)
+	if err == nil {
+		resp, res, err = s.whatif(req)
 	}
-	resp, res, err := s.whatif(&req)
 	if err != nil {
 		s.queriesErrored.Add(1)
 		status := http.StatusInternalServerError
@@ -475,6 +476,35 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, resp)
+}
+
+// maxWhatIfBody caps a what-if request body. A query is a few hundred
+// bytes; the cap bounds what one request can make the server read.
+const maxWhatIfBody = 1 << 20
+
+// decodeWhatIf reads the body as exactly one WhatIfRequest object: an
+// unknown field or anything but whitespace after the object is a 400,
+// and a body over maxWhatIfBody a 413.
+func decodeWhatIf(w http.ResponseWriter, r *http.Request) (*WhatIfRequest, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWhatIfBody))
+	dec.DisallowUnknownFields()
+	var req WhatIfRequest
+	err := dec.Decode(&req)
+	trailing := err == nil
+	if trailing {
+		if _, err = dec.Token(); err == io.EOF {
+			return &req, nil
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return nil, &httpError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("what-if body exceeds the %d-byte limit", tooLarge.Limit)}
+	case trailing:
+		return nil, badRequest("bad what-if body: trailing data after the JSON object")
+	}
+	return nil, badRequest("bad what-if body: %v", err)
 }
 
 // labelFor picks the policy label a text-format response is rendered

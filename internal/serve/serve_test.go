@@ -273,7 +273,8 @@ func TestWhatIfConcurrentByteIdentical(t *testing.T) {
 }
 
 // TestWhatIfValidation pins the HTTP error mapping: defects in the
-// request are 400s with pointed messages, an empty ring is 503, and
+// request are 400s with pointed messages, a body must be exactly one
+// JSON object, one over the size cap is 413, an empty ring is 503, and
 // non-POST is 405.
 func TestWhatIfValidation(t *testing.T) {
 	s := testServer(t, 0)
@@ -296,6 +297,9 @@ func TestWhatIfValidation(t *testing.T) {
 		{"unknown policy", `{"policy": "no-such-policy"}`, http.StatusBadRequest, "fork policy"},
 		{"unknown field", `{"att": 5}`, http.StatusBadRequest, "bad what-if body"},
 		{"not json", `at=5`, http.StatusBadRequest, "bad what-if body"},
+		{"second object", `{"at": 0} {"at": 5}`, http.StatusBadRequest, "trailing data after the JSON object"},
+		{"trailing garbage", `{"at": 0}garbage`, http.StatusBadRequest, "trailing data after the JSON object"},
+		{"oversized body", `{"at":0}` + strings.Repeat(" ", 8<<20), http.StatusRequestEntityTooLarge, "exceeds the 1048576-byte limit"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := do(h, http.MethodPost, "/v1/whatif", tc.body)

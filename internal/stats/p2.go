@@ -123,9 +123,7 @@ func (e *P2) Quantile() float64 {
 		return 0
 	}
 	if e.count < 5 {
-		s := append([]float64(nil), e.q[:e.count]...)
-		sort.Float64s(s)
-		return percentileSorted(s, e.p*100)
+		return Percentile(e.q[:e.count], e.p*100)
 	}
 	return e.q[2]
 }
