@@ -23,8 +23,6 @@ import (
 	"dismem/internal/core"
 	"dismem/internal/des"
 	"dismem/internal/memmodel"
-	"dismem/internal/sched"
-	"dismem/internal/spec"
 	"dismem/internal/sweep"
 	"dismem/internal/workload"
 )
@@ -155,88 +153,6 @@ func BenchmarkMemAwarePlan(b *testing.B) {
 			b.Fatal("plan failed")
 		}
 	}
-}
-
-// BenchmarkConservativePass measures one conservative-backfill pass
-// (memaware-cons) on the Table 2 stressed machine: 64 GiB/node, 2 TiB
-// rack pools, 8 GiB/s fabric. 40 jobs of the Table 2 workload run and
-// the next 170 wait, about what that sweep's passes see, and a filler
-// job holds the remaining nodes. No queued job fits now, so every pass
-// plans the first MaxReservations jobs into the capacity profile,
-// starts nothing and leaves the machine as it was; in steady state a
-// pass allocates nothing. The passes alternate between the machine and
-// an identical clone, so none can resume the one before it (a resumed
-// pass with nothing new queued plans nothing): each timed pass is a
-// full pass. It reports ns/pass and allocs/pass.
-func BenchmarkConservativePass(b *testing.B) {
-	const running, queued, now = 40, 170, 1 << 20
-	cfg := cluster.DefaultConfig()
-	cfg.PoolMiB = 2048 * 1024
-	cfg.FabricGiBps = 8
-	m := cluster.MustNew(cfg)
-	model := memmodel.Bandwidth{Beta: 1, Gamma: 1}
-	pol, err := spec.Parse("memaware-cons")
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	wl := workload.MustGenerate(workload.DefaultGenConfig(2000, 1, cfg.TotalNodes()))
-	ctx := &sched.Context{Now: now, Machine: m, Model: model, ExtendLimit: true}
-	placer := core.New()
-	start := func(j *workload.Job) bool {
-		p := placer.Plan(j, m, model)
-		if p == nil {
-			return false
-		}
-		alloc, err := m.AllocateCopy(p.Alloc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Half-way through its limit, so the releases spread over the
-		// next few hours.
-		ctx.Running = append(ctx.Running, sched.RunningJob{Job: j, Start: now - j.Estimate/2, Limit: j.Estimate, Alloc: alloc})
-		return true
-	}
-	for _, j := range wl.Jobs {
-		if len(ctx.Running) < running && start(j) {
-			continue
-		}
-		if ctx.Queue = append(ctx.Queue, j); len(ctx.Queue) == queued {
-			break
-		}
-	}
-	filler := &workload.Job{ID: len(wl.Jobs) + 1, Nodes: m.FreeNodes(), MemPerNode: 1024, Estimate: 3600, BaseRuntime: 3600}
-	if filler.Nodes > 0 && !start(filler) {
-		b.Fatal("filler job did not fit the free nodes")
-	}
-	if len(ctx.Running) < running || len(ctx.Queue) != queued {
-		b.Fatalf("fixture has %d running, %d queued", len(ctx.Running), len(ctx.Queue))
-	}
-	byEnd := ctx.ByEnd()
-	ctx.ByEndFn = func() []sched.RunningJob { return byEnd }
-	machines := [2]*cluster.Machine{m, m.Clone()}
-
-	pass := func(i int) {
-		ctx.Reset()
-		ctx.Machine = machines[i%2]
-		if d := pol.Pass(ctx); len(d) != 0 {
-			b.Fatalf("pass started %d jobs on a full machine", len(d))
-		}
-	}
-	pass(0) // grow the scheduler's scratch to its steady-state size
-	pass(1)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocs := ms.Mallocs
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pass(i)
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&ms)
-	b.ReportMetric(0, "ns/op") // one op is one pass: report it as ns/pass
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/pass")
-	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(b.N), "allocs/pass")
 }
 
 // BenchmarkWorkloadGenerate measures synthetic trace generation.

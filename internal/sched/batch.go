@@ -100,8 +100,9 @@ type passState struct {
 	// blocked), and scanned counts the backfill candidates examined
 	// behind it, as MaxBackfillScan counts them.
 	head, scanned int
-	// resumed counts the passes that resumed their predecessor.
-	resumed int
+	// full and resumed count the passes that ran in full and those
+	// that resumed their predecessor: counters for tests.
+	full, resumed int
 }
 
 // tryPlan applies the chassis-level admission knobs around the
@@ -162,6 +163,7 @@ func (b *Batch) Pass(ctx *Context) []Dispatch {
 		full = b.fullPassOnClone(ctx)
 	}
 	if from < 0 {
+		b.st.full++
 		b.st.q = append(b.st.q[:0], ctx.Queue...)
 		b.Order.Sort(ctx.Now, b.st.q)
 	}
@@ -225,16 +227,25 @@ func (b *Batch) fullPassOnClone(ctx *Context) []Dispatch {
 // jobs, in the same order and with the same placements, as the full
 // pass it stands for.
 func checkSameDispatches(resumed, full []Dispatch) {
-	same := len(resumed) == len(full)
-	for i := 0; same && i < len(full); i++ {
-		r, f := resumed[i], full[i]
-		same = r.Job == f.Job && r.Plan.Dilation == f.Plan.Dilation &&
-			slices.Equal(r.Plan.Alloc.Shares, f.Plan.Alloc.Shares)
-	}
-	if !same {
+	if !sameDispatches(resumed, full) {
 		panic(fmt.Sprintf("sched: resumed pass dispatched %v, a full pass dispatches %v",
 			dispatchIDs(resumed), dispatchIDs(full)))
 	}
+}
+
+// sameDispatches reports whether a and b dispatch the same jobs, in the
+// same order, with the same shares and dilations.
+func sameDispatches(a, b []Dispatch) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Job != b[i].Job || a[i].Plan.Dilation != b[i].Plan.Dilation ||
+			!slices.Equal(a[i].Plan.Alloc.Shares, b[i].Plan.Alloc.Shares) {
+			return false
+		}
+	}
+	return true
 }
 
 // dispatchIDs lists the dispatched job IDs in dispatch order.
@@ -392,20 +403,25 @@ func (b *Batch) resetProfile(ctx *Context) {
 // from position from, up to MaxReservations positions in all, into the
 // profile, dispatching those whose reservation starts now and an exact
 // placement exists.
+//
+// Planning stops at the profile's wall (DESIGN.md §6): a job whose
+// window would cross it gets no reservation, and the pass ends once the
+// wall reaches Now. No dropped reservation could start before the wall,
+// so none could ever overlap a window that starts now.
 func (b *Batch) reserve(ctx *Context, q []*workload.Job, from int, out []Dispatch) []Dispatch {
 	maxRes := b.MaxReservations
 	if maxRes <= 0 {
 		maxRes = 128
 	}
 	prof := &b.st.prof
-	for k := from; k < min(len(q), maxRes); k++ {
+	for k := from; k < min(len(q), maxRes) && prof.wall > ctx.Now; k++ {
 		job := q[k]
 		if b.MaxPerUser > 0 && ctx.RunningOfUser(job.User) >= b.MaxPerUser {
 			continue // throttled: try again next pass, no reservation
 		}
 		needPool := RemoteNeed(job, ctx.Machine)
 		dur := ctx.Limit(job, b.Placer.PlanDilation(job, ctx.Machine, ctx.Model))
-		start := prof.EarliestFit(ctx.Now, dur, job.Nodes, needPool)
+		start := prof.EarliestFit(ctx.Now, dur, job.Nodes, needPool, prof.wall)
 		if start == ctx.Now {
 			if plan, _ := b.tryPlan(ctx, job); plan != nil {
 				d := b.commit(ctx, job, plan)

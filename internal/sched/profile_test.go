@@ -76,7 +76,7 @@ func TestProfileReserveBeforeOrigin(t *testing.T) {
 
 func TestProfileEarliestFitImmediate(t *testing.T) {
 	p := NewProfile(5, 4, 100)
-	if got := p.EarliestFit(5, 10, 4, 100); got != 5 {
+	if got := p.EarliestFit(5, 10, 4, 100, math.MaxInt64); got != 5 {
 		t.Fatalf("EarliestFit = %d, want 5 (fits now)", got)
 	}
 }
@@ -84,7 +84,7 @@ func TestProfileEarliestFitImmediate(t *testing.T) {
 func TestProfileEarliestFitAfterRelease(t *testing.T) {
 	p := NewProfile(0, 1, 0)
 	p.AddRelease(30, 3, 600)
-	if got := p.EarliestFit(0, 10, 4, 500); got != 30 {
+	if got := p.EarliestFit(0, 10, 4, 500, math.MaxInt64); got != 30 {
 		t.Fatalf("EarliestFit = %d, want 30", got)
 	}
 }
@@ -94,19 +94,19 @@ func TestProfileEarliestFitSkipsBusyWindow(t *testing.T) {
 	p.Reserve(10, 50, 8, 0)
 	// Need 5 nodes for 20s: [0,10) too short, inside [10,50) only 2
 	// free, so earliest is 50.
-	if got := p.EarliestFit(0, 20, 5, 0); got != 50 {
+	if got := p.EarliestFit(0, 20, 5, 0, math.MaxInt64); got != 50 {
 		t.Fatalf("EarliestFit = %d, want 50", got)
 	}
 	// A short job that fits before the window starts at 0... duration
 	// 10 ends exactly at the window edge (end-exclusive) so it fits.
-	if got := p.EarliestFit(0, 10, 5, 0); got != 0 {
+	if got := p.EarliestFit(0, 10, 5, 0, math.MaxInt64); got != 0 {
 		t.Fatalf("EarliestFit(short) = %d, want 0", got)
 	}
 }
 
 func TestProfileEarliestFitNever(t *testing.T) {
 	p := NewProfile(0, 2, 0)
-	if got := p.EarliestFit(0, 10, 5, 0); got != math.MaxInt64 {
+	if got := p.EarliestFit(0, 10, 5, 0, math.MaxInt64); got != math.MaxInt64 {
 		t.Fatalf("EarliestFit beyond capacity = %d, want MaxInt64", got)
 	}
 }
@@ -114,10 +114,10 @@ func TestProfileEarliestFitNever(t *testing.T) {
 func TestProfileEarliestFitPoolDimension(t *testing.T) {
 	p := NewProfile(0, 10, 100)
 	p.Reserve(0, 100, 0, 80) // pool mostly taken until t=100
-	if got := p.EarliestFit(0, 10, 1, 50); got != 100 {
+	if got := p.EarliestFit(0, 10, 1, 50, math.MaxInt64); got != 100 {
 		t.Fatalf("EarliestFit pool-bound = %d, want 100", got)
 	}
-	if got := p.EarliestFit(0, 10, 1, 20); got != 0 {
+	if got := p.EarliestFit(0, 10, 1, 20, math.MaxInt64); got != 0 {
 		t.Fatalf("EarliestFit small pool need = %d, want 0", got)
 	}
 }
@@ -130,7 +130,7 @@ func TestProfileReserveAllowsNegative(t *testing.T) {
 		t.Fatalf("capacity = (%d,%d), want (-3,-40)", n, pool)
 	}
 	// Nothing fits while negative; fits after.
-	if got := p.EarliestFit(0, 5, 1, 1); got != 10 {
+	if got := p.EarliestFit(0, 5, 1, 1, math.MaxInt64); got != 10 {
 		t.Fatalf("EarliestFit over negative window = %d, want 10", got)
 	}
 }
@@ -141,7 +141,7 @@ func TestProfileEarliestFitPanicsOnZeroDur(t *testing.T) {
 			t.Fatal("EarliestFit(dur=0) did not panic")
 		}
 	}()
-	NewProfile(0, 1, 1).EarliestFit(0, 0, 1, 1)
+	NewProfile(0, 1, 1).EarliestFit(0, 0, 1, 1, math.MaxInt64)
 }
 
 // TestProfileFitNeverViolatesCapacity: for random profiles, any window
@@ -165,7 +165,7 @@ func TestProfileFitNeverViolatesCapacity(t *testing.T) {
 			need := int(rng.Intn(8)) + 1
 			pool := rng.Int63n(800)
 			dur := rng.Int63n(80) + 1
-			at := p.EarliestFit(0, dur, need, pool)
+			at := p.EarliestFit(0, dur, need, pool, math.MaxInt64)
 			if at == math.MaxInt64 {
 				continue
 			}
@@ -252,13 +252,20 @@ func windowFitsRef(p *Profile, start, end int64, nodes int, pool int64) bool {
 // reservations and changes every conservative-backfill result. The
 // generator covers open-ended reservations, releases on both sides of
 // the origin, over-reservation into negative capacity, queries from
-// before the origin, and needs of zero and beyond total capacity; the
-// coverage counts below fail the test if any case stops occurring.
+// before the origin, and needs of zero and beyond total capacity. Each
+// query also runs under a random wall: none, the profile's own, a
+// breakpoint, an arbitrary time, or exactly where the reference's
+// window ends; the answer must be the reference's start if its window
+// ends by the wall and math.MaxInt64 otherwise. The profile's
+// maintained wall must equal a scan for its first breakpoint without a
+// free node. The coverage counts below fail the test if any case stops
+// occurring.
 func TestProfileEarliestFitMatchesReference(t *testing.T) {
 	const profiles = 10000
 	rng := stats.NewRNG(13)
 	var seen struct {
 		openEnd, releaseBefore, negative, fromBefore, zeroNeed, overNeed, never, later int
+		walled, endsAtWall, crossesWall, profileWall                                   int
 	}
 	for n := 0; n < profiles; n++ {
 		origin := rng.Int63n(1000)
@@ -292,6 +299,12 @@ func TestProfileEarliestFitMatchesReference(t *testing.T) {
 				break
 			}
 		}
+		if scan := scanWall(p); p.wall != scan {
+			t.Fatalf("profile %d: maintained wall %d, a scan finds %d\npoints: %+v", n, p.wall, scan, p.points)
+		}
+		if p.wall < math.MaxInt64 {
+			seen.profileWall++
+		}
 		for q := 0; q < 8; q++ {
 			from := origin - 100 + rng.Int63n(800)
 			if from < origin {
@@ -305,11 +318,42 @@ func TestProfileEarliestFitMatchesReference(t *testing.T) {
 			case need > maxNodes || needPool > maxPool:
 				seen.overNeed++
 			}
-			got := p.EarliestFit(from, dur, need, needPool)
+			got := p.EarliestFit(from, dur, need, needPool, math.MaxInt64)
 			want := earliestFitRef(p, from, dur, need, needPool)
 			if got != want {
 				t.Fatalf("profile %d query %d: EarliestFit(from=%d, dur=%d, need=(%d,%d)) = %d, reference %d\npoints: %+v",
 					n, q, from, dur, need, needPool, got, want, p.points)
+			}
+			var wall int64
+			switch rng.Intn(5) {
+			case 0:
+				wall = math.MaxInt64
+			case 1:
+				wall = p.wall
+			case 2:
+				wall = p.points[rng.Intn(len(p.points))].t
+			case 3:
+				wall = origin - 100 + rng.Int63n(1000)
+			default:
+				wall = want + dur // the reference's window ends at the wall
+				if want == math.MaxInt64 {
+					wall = math.MaxInt64
+				}
+			}
+			wantWalled := want
+			if want < math.MaxInt64 && want+dur > wall {
+				wantWalled = math.MaxInt64
+				seen.crossesWall++
+			}
+			if want < math.MaxInt64 && want+dur == wall {
+				seen.endsAtWall++
+			}
+			if wall < math.MaxInt64 {
+				seen.walled++
+			}
+			if got := p.EarliestFit(from, dur, need, needPool, wall); got != wantWalled {
+				t.Fatalf("profile %d query %d: EarliestFit(from=%d, dur=%d, need=(%d,%d), wall=%d) = %d, want %d (unbounded reference %d)\npoints: %+v",
+					n, q, from, dur, need, needPool, wall, got, wantWalled, want, p.points)
 			}
 			switch {
 			case want == math.MaxInt64:
@@ -325,6 +369,8 @@ func TestProfileEarliestFitMatchesReference(t *testing.T) {
 		"negative capacity": seen.negative, "from before the origin": seen.fromBefore,
 		"zero needs": seen.zeroNeed, "needs beyond total capacity": seen.overNeed,
 		"never-fitting queries": seen.never, "delayed starts": seen.later,
+		"walled queries": seen.walled, "windows ending at the wall": seen.endsAtWall,
+		"windows crossing the wall": seen.crossesWall, "profiles with a wall": seen.profileWall,
 	} {
 		if c == 0 {
 			t.Errorf("generator never produced %s", name)

@@ -258,9 +258,9 @@ func (d *SWFDecoder) Skipped() int { return d.skipped }
 func (d *SWFDecoder) Err() error { return d.err }
 
 // ReadSWF parses an SWF trace. Jobs with unusable records (zero size,
-// zero runtime, negative submit) are skipped rather than failing the
-// whole trace, matching common simulator practice; a count of skipped
-// lines is returned.
+// zero runtime, negative submit, memory per node beyond int64) are
+// skipped rather than failing the whole trace, matching common
+// simulator practice; a count of skipped lines is returned.
 func ReadSWF(r io.Reader, opt SWFReadOptions) (*Workload, int, error) {
 	d := NewSWFDecoder(r, opt)
 	w := &Workload{Name: "swf"}
@@ -279,7 +279,8 @@ func ReadSWF(r io.Reader, opt SWFReadOptions) (*Workload, int, error) {
 }
 
 // jobFromSWF builds the job of one parsed record, or reports false for
-// an unusable record (zero size, zero runtime, negative submit).
+// an unusable record (zero size, zero runtime, negative submit, or
+// memory per node beyond int64).
 func jobFromSWF(v []int64, opt SWFReadOptions) (Job, bool) {
 	procs := v[4]
 	if procs <= 0 {
@@ -296,7 +297,13 @@ func jobFromSWF(v []int64, opt SWFReadOptions) (Job, bool) {
 	nodes := int(procs)
 	coresPerNode := 0
 	if opt.NodeCores > 0 {
-		nodes = int((procs + int64(opt.NodeCores) - 1) / int64(opt.NodeCores))
+		// Ceiling division that cannot overflow: procs+NodeCores-1
+		// wraps negative for processor counts near math.MaxInt64.
+		nc := int64(opt.NodeCores)
+		nodes = int(procs / nc)
+		if procs%nc != 0 {
+			nodes++
+		}
 		coresPerNode = opt.NodeCores
 	}
 	// SWF memory is KB per processor; convert to MiB per node.
@@ -313,6 +320,9 @@ func jobFromSWF(v []int64, opt SWFReadOptions) (Job, bool) {
 		procsPerNode := int64(1)
 		if opt.NodeCores > 0 {
 			procsPerNode = int64(opt.NodeCores)
+		}
+		if perProcMiB > math.MaxInt64/procsPerNode {
+			return Job{}, false // memory per node does not fit an int64
 		}
 		memPerNode = perProcMiB * procsPerNode
 	}

@@ -185,6 +185,36 @@ func TestReadSWFNodeCoresConversion(t *testing.T) {
 	}
 }
 
+// TestReadSWFNodeCoresOverflow: converting a processor count near
+// math.MaxInt64 to nodes must not wrap negative, and a record whose
+// memory per node overflows an int64 is unusable and skipped.
+func TestReadSWFNodeCoresOverflow(t *testing.T) {
+	in := `1 0 -1 100 9223372036854775807 -1 -1 -1 200 -1 1 7 0 -1 -1 -1 -1 -1
+2 0 -1 100 9223372036854775806 -1 -1 -1 200 -1 1 7 0 -1 -1 -1 -1 -1
+`
+	w, _, err := ReadSWF(strings.NewReader(in), SWFReadOptions{NodeCores: 2, DefaultMemPerNode: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{1 << 62, 1<<62 - 1} {
+		if j := w.Jobs[i]; j.Nodes != want || j.Validate() != nil {
+			t.Errorf("job %d: nodes=%d (validate: %v), want %d", j.ID, j.Nodes, j.Validate(), want)
+		}
+	}
+
+	// 2^53 MiB per processor times 4096 processors per node overflows.
+	in = `1 0 -1 100 4096 -1 -1 -1 200 9223372036854775807 1 7 0 -1 -1 -1 -1 -1
+2 0 -1 100 4096 -1 -1 -1 200 1048576 1 7 0 -1 -1 -1 -1 -1
+`
+	w, skipped, err := ReadSWF(strings.NewReader(in), SWFReadOptions{NodeCores: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Jobs) != 1 || skipped != 1 || w.Jobs[0].ID != 2 || w.Jobs[0].MemPerNode != 1024*4096 {
+		t.Fatalf("jobs=%v skipped=%d, want job 2 alone at 4 GiB/node", w.Jobs, skipped)
+	}
+}
+
 func TestReadSWFMaxJobs(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSWF(&buf, MustGenerate(DefaultGenConfig(50, 2, 16))); err != nil {
