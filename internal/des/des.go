@@ -5,7 +5,10 @@
 // scheduled (stable FIFO tie-break on a monotonically increasing
 // sequence number), which makes simulations reproducible regardless of
 // heap internals. Events can be cancelled in O(log n) via the handle
-// returned from Schedule.
+// returned from Schedule, and a pending event can be moved in place
+// with Reschedule, which gives it the sequence number a fresh schedule
+// would: firing order is exactly that of Cancel followed by a new
+// schedule, without the heap removal and re-insertion.
 //
 // The kernel is single-threaded by design: HPC scheduling simulations
 // are dominated by the strict total order of events, so the idiomatic
@@ -48,7 +51,7 @@ type Kind int16
 const KindOpaque Kind = 0
 
 // Event is a scheduled occurrence. It is owned by the Simulator; callers
-// hold it only to Cancel it or inspect its time.
+// hold it only to Cancel or Reschedule it or inspect its time.
 //
 // Events are pooled: once an event fires or is cancelled, its handle is
 // dead — the simulator recycles the struct for a future Schedule, so a
@@ -230,6 +233,29 @@ func (s *Simulator) Cancel(e *Event) {
 	}
 	heap.Remove(&s.queue, e.index)
 	s.recycle(e)
+}
+
+// Reschedule moves the pending event e to time at with payload data,
+// in place. It keeps e's band, kind and handler and takes the next
+// sequence number, so e gets exactly the heap key (time, band, seq)
+// that Cancel followed by a schedule of the same band and kind would
+// give a new event. Firing order, Snapshot records, the sequence
+// counter and the free pool are therefore the same as that pair's,
+// and the handle stays live. When at is e's current time the sift is
+// O(1) unless a same-instant, same-band event sits below e. A fired or
+// cancelled handle panics (a dead handle that has since been reused
+// cannot be told apart from a live one; see Event). Rescheduling into
+// the past panics like Schedule.
+func (s *Simulator) Reschedule(e *Event, at Time, data any) {
+	if e == nil || e.index < 0 {
+		panic("des: reschedule of a fired or cancelled event")
+	}
+	if at < s.now {
+		panic(fmt.Sprintf("des: rescheduling into the past: at=%d now=%d", at, s.now))
+	}
+	e.time, e.seq, e.data = at, s.seq, data
+	s.seq++
+	heap.Fix(&s.queue, e.index)
 }
 
 // Step fires the single earliest event. It returns false when the queue

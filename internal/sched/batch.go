@@ -327,6 +327,16 @@ func (b *Batch) backfill(ctx *Context, q []*workload.Job, from int, out []Dispat
 		if ctx.Now+cand.Estimate > shadow && cand.Nodes > extraNodes {
 			continue
 		}
+		// Nor one wider than the free nodes: every placer returns nil
+		// then (the Placer.Plan contract), and a nil plan here has no
+		// side effect.
+		if cand.Nodes > ctx.Machine.FreeNodes() {
+			if ctx.CheckInvariants && b.Placer.Plan(cand, ctx.Machine, ctx.Model) != nil {
+				panic(fmt.Sprintf("sched: placer %s planned job %d (%d nodes) on %d free nodes",
+					b.Placer.Name(), cand.ID, cand.Nodes, ctx.Machine.FreeNodes()))
+			}
+			continue
+		}
 		plan, _ := b.tryPlan(ctx, cand)
 		if plan == nil {
 			continue

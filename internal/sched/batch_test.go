@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"dismem/internal/cluster"
+	"dismem/internal/memmodel"
 	"dismem/internal/workload"
 )
 
@@ -294,6 +296,61 @@ func TestContextLimit(t *testing.T) {
 	if got := ctx.Limit(j, 1.0001); got != 1001 {
 		t.Fatalf("rounded limit = %d, want 1001", got)
 	}
+	// A limit past MaxSeconds, or no number at all, clamps to it
+	// instead of wrapping through an out-of-range conversion.
+	for _, d := range []float64{1e300, math.Inf(1), math.NaN(), float64(workload.MaxSeconds)} {
+		if got := ctx.Limit(j, d); got != workload.MaxSeconds {
+			t.Errorf("limit at dilation %g = %d, want MaxSeconds", d, got)
+		}
+	}
+	j.Estimate = workload.MaxSeconds
+	if got := ctx.Limit(j, 1.5); got != workload.MaxSeconds {
+		t.Errorf("limit of a MaxSeconds estimate = %d, want MaxSeconds", got)
+	}
+}
+
+// lyingPlacer breaks the Placer.Plan contract for job liar: it returns
+// a plan for it when it is wider than the free nodes.
+type lyingPlacer struct {
+	LocalOnly
+	liar int
+}
+
+func (p lyingPlacer) Plan(job *workload.Job, m *cluster.Machine, model memmodel.Model) *Plan {
+	if job.ID == p.liar && m.FreeNodes() < job.Nodes {
+		return &Plan{Alloc: &cluster.Allocation{JobID: job.ID}, Dilation: 1}
+	}
+	return p.LocalOnly.Plan(job, m, model)
+}
+
+// TestBackfillSkipChecksPlacerContract: EASY backfill skips a candidate
+// wider than the free nodes without calling Plan. In check mode it
+// calls Plan anyway and panics if the placer returns a plan.
+func TestBackfillSkipChecksPlacerContract(t *testing.T) {
+	pass := func(check bool) []Dispatch {
+		m := cluster.MustNew(oneRackConfig(0))
+		b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: lyingPlacer{liar: 2}}
+		// Job 90 holds 3 nodes until t=100, so the head's shadow is 100
+		// and one node is free.
+		running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
+		ctx := &Context{
+			Now: 0, Machine: m, Queue: []*workload.Job{
+				timedJob(1, 4, 100, 500), // head, blocked
+				timedJob(2, 2, 100, 50),  // ends by the shadow, but 2 nodes > 1 free
+			},
+			Running: running, CheckInvariants: check,
+		}
+		return b.Pass(ctx)
+	}
+	if ds := pass(false); len(ds) != 0 {
+		t.Fatalf("dispatched %v: the skip called the placer", dispatchIDs(ds))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("check mode accepted a plan for a candidate wider than the free nodes")
+		}
+	}()
+	pass(true)
 }
 
 func TestBackfillModeString(t *testing.T) {

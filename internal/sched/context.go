@@ -131,14 +131,25 @@ func (c *Context) ByEnd() []RunningJob {
 // Limit returns the wall-clock limit the engine will assign to job if
 // started now with predicted dilation.
 func (c *Context) Limit(job *workload.Job, dilation float64) int64 {
-	if !c.ExtendLimit || dilation <= 1 {
+	return Limit(job, dilation, c.ExtendLimit)
+}
+
+// Limit is the one limit rule, shared by the engine and the planners:
+// the job's estimate, or, when extend is set and dilation > 1,
+// ⌈Estimate × dilation⌉ clamped to [Estimate, workload.MaxSeconds].
+// The clamp is a range check on the float, made before the conversion:
+// Go leaves an out-of-range float-to-int64 conversion to the
+// implementation (amd64 yields -2^63), and a NaN dilation fails every
+// comparison, so it clamps to the maximum too.
+func Limit(job *workload.Job, dilation float64, extend bool) int64 {
+	if !extend || dilation <= 1 {
 		return job.Estimate
 	}
-	l := int64(float64(job.Estimate)*dilation + 0.999999)
-	if l < job.Estimate {
-		l = job.Estimate
+	l := float64(job.Estimate)*dilation + 0.999999
+	if !(l < workload.MaxSeconds) {
+		return workload.MaxSeconds
 	}
-	return l
+	return max(int64(l), job.Estimate)
 }
 
 // Dispatch is one job started during a pass; its allocation is already

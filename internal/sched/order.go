@@ -29,8 +29,15 @@ type FCFS struct{}
 // Name implements Order.
 func (FCFS) Name() string { return "fcfs" }
 
-// Sort implements Order.
-func (FCFS) Sort(_ int64, jobs []*workload.Job) { slices.SortFunc(jobs, fcfsCompare) }
+// Sort implements Order. Every order is a strict total order, so the
+// sorted permutation is unique and a queue already in FCFS order is
+// that permutation: only a queue out of order (a requeued job behind
+// later arrivals) is sorted.
+func (FCFS) Sort(_ int64, jobs []*workload.Job) {
+	if !slices.IsSortedFunc(jobs, fcfsCompare) {
+		slices.SortFunc(jobs, fcfsCompare)
+	}
+}
 
 // fcfsCompare is FCFS's comparator.
 func fcfsCompare(a, b *workload.Job) int {

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
+	"dismem/internal/stats"
 	"dismem/internal/workload"
 )
 
@@ -110,6 +112,40 @@ func TestOrderStability(t *testing.T) {
 		o.Sort(500, q)
 		if got := ids(q); !equalIDs(got, 1, 2, 3) {
 			t.Fatalf("%s broke tie stability: %v", o.Name(), got)
+		}
+	}
+}
+
+// TestFCFSSortMatchesSortFunc: FCFS.Sort sorts only a queue it finds
+// out of order, and its result must equal slices.SortFunc with
+// fcfsCompare on queues already in order, in order with a requeued
+// tail (older jobs appended behind later arrivals, as failure restarts
+// leave them), and shuffled.
+func TestFCFSSortMatchesSortFunc(t *testing.T) {
+	rng := stats.NewRNG(22)
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(40)
+		q := make([]*workload.Job, n)
+		for i := range q {
+			// Few distinct submits, so (Submit, ID) ties on Submit are common.
+			q[i] = &workload.Job{ID: i + 1, Submit: int64(rng.Intn(8))}
+		}
+		slices.SortFunc(q, fcfsCompare)
+		switch trial % 3 {
+		case 1:
+			if n > 1 {
+				k := rng.Intn(n)
+				tail := q[k]
+				q = append(slices.Delete(q, k, k+1), tail)
+			}
+		case 2:
+			rng.Shuffle(n, func(i, j int) { q[i], q[j] = q[j], q[i] })
+		}
+		want := slices.Clone(q)
+		slices.SortFunc(want, fcfsCompare)
+		FCFS{}.Sort(0, q)
+		if !slices.Equal(q, want) {
+			t.Fatalf("trial %d: FCFS.Sort gave %v, SortFunc %v", trial, ids(q), ids(want))
 		}
 	}
 }

@@ -22,9 +22,12 @@ type Placer interface {
 	// Name identifies the policy.
 	Name() string
 	// Plan returns a placement for job on m, or nil if the job cannot
-	// start now. It must not mutate m. The returned plan (including its
-	// Alloc and Shares) may be placer-owned scratch, valid only until
-	// the next Plan call on the same placer: callers commit it with
+	// start now. It must not mutate m. It must return nil when
+	// m.FreeNodes() < job.Nodes: EASY backfill relies on that and skips
+	// such a candidate without calling Plan (check mode calls it and
+	// panics on a plan). The returned plan (including its Alloc and
+	// Shares) may be placer-owned scratch, valid only until the next
+	// Plan call on the same placer: callers commit it with
 	// Machine.AllocateCopy, which deep-copies, rather than retaining it.
 	Plan(job *workload.Job, m *cluster.Machine, model memmodel.Model) *Plan
 	// Feasible reports whether the job could ever run on an idle m

@@ -292,6 +292,7 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 	if e.byEnd, err = e.runningView("end", cp.endOrder, byEndThenID); err != nil {
 		return nil, err
 	}
+	e.remote = e.holdingPool()
 
 	// Rebuild the DES queue from the records: each kind maps back to
 	// the engine's per-family handler — the record's payload travels in

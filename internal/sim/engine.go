@@ -187,13 +187,17 @@ type Engine struct {
 	queue   []*workload.Job
 	running map[int]*runningState
 	// byID and byEnd are the running set as two maintained views:
-	// ascending job ID (the deterministic re-dilation order, handed to
-	// passes as sched.Context.Running) and ascending (GuaranteedEnd, ID)
-	// (the order reservation planners consume releases in, returned by
-	// sched.Context.ByEnd). A running job's entry never changes, so both
-	// are updated only by binary-search insert and remove at dispatch
-	// and termination, and passes read them without a copy.
+	// ascending job ID (handed to passes as sched.Context.Running) and
+	// ascending (GuaranteedEnd, ID) (the order reservation planners
+	// consume releases in, returned by sched.Context.ByEnd). remote is a
+	// third: the running jobs that hold pool memory, in ascending job ID,
+	// the only jobs re-dilation can change and the deterministic order
+	// it reschedules their ends in. A running job's entry never changes
+	// (an allocation's remote MiB is fixed when it is committed), so all
+	// three are updated only by binary-search insert and remove at
+	// dispatch and termination, and passes read them without a copy.
 	byID, byEnd []sched.RunningJob
+	remote      []*runningState
 	reDilate    bool
 	passQueue   bool
 
@@ -233,6 +237,9 @@ type Engine struct {
 	startedIDs []int
 	upScratch  []cluster.NodeID
 	rsPool     []*runningState
+	// redilated counts the running jobs re-dilation has visited, a work
+	// counter for tests.
+	redilated int
 	// ends is the chunk end payloads are carved from. It is only
 	// appended to and is replaced when spent, never reused, so a chunk
 	// lives as long as the longest-running job carved from it.
@@ -326,8 +333,10 @@ func newEngine(cfg Config, prev *Engine) (*Engine, error) {
 		// references along with them.
 		clear(prev.byID)
 		clear(prev.byEnd)
+		clear(prev.remote)
 		e.byID = prev.byID[:0]
 		e.byEnd = prev.byEnd[:0]
+		e.remote = prev.remote[:0]
 		clear(prev.running)
 		e.running = prev.running
 		clear(prev.restarts)
@@ -762,15 +771,20 @@ func (e *Engine) dispatchPass(now int64) int {
 // (GuaranteedEnd, ID) order, engine-owned and read-only.
 func (e *Engine) endView() []sched.RunningJob { return e.byEnd }
 
-// byJobID orders the ID view; byEndThenID orders the end view.
+// byJobID orders the ID view; byEndThenID orders the end view;
+// remoteByID searches the remote view by job ID.
 func byJobID(a, b sched.RunningJob) int { return cmp.Compare(a.Job.ID, b.Job.ID) }
+
+func remoteByID(rs *runningState, id int) int { return cmp.Compare(rs.job.ID, id) }
 
 func byEndThenID(a, b sched.RunningJob) int {
 	return cmp.Or(cmp.Compare(a.GuaranteedEnd(), b.GuaranteedEnd()), byJobID(a, b))
 }
 
-// checkRunningViews verifies both running views against the running
-// set: same jobs, same entries, each in its order. It runs under
+// checkRunningViews verifies the running views against the running
+// set: the ID and end views hold the same jobs and entries, each in its
+// order, and the remote view holds the same *runningState values, in
+// the same order, as the ID view's pool-holding entries. It runs under
 // Config.CheckInvariants after every pass and state change, so a
 // scheduler that mutates ctx.Running, or a missed insert or remove,
 // panics like a machine invariant violation.
@@ -794,6 +808,40 @@ func (e *Engine) checkRunningViews() {
 			}
 		}
 	}
+	if want := e.holdingPool(); !slices.Equal(e.remote, want) {
+		panic(fmt.Sprintf("sim: remote view lists jobs %v, the ID view's pool holders are %v", stateIDs(e.remote), stateIDs(want)))
+	}
+}
+
+// holdingPool lists the running jobs that hold pool memory in the ID
+// view's order, at exact capacity (nil when none does): the remote view
+// derived from the ID view.
+func (e *Engine) holdingPool() []*runningState {
+	n := 0
+	for i := range e.byID {
+		if e.byID[i].Alloc.RemoteMiB() > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	view := make([]*runningState, 0, n)
+	for i := range e.byID {
+		if e.byID[i].Alloc.RemoteMiB() > 0 {
+			view = append(view, e.running[e.byID[i].Job.ID])
+		}
+	}
+	return view
+}
+
+// stateIDs lists the job IDs of running states, in order.
+func stateIDs(view []*runningState) []int {
+	ids := make([]int, len(view))
+	for i, rs := range view {
+		ids[i] = rs.job.ID
+	}
+	return ids
 }
 
 // runningJob is rs as the scheduler sees it.
@@ -821,17 +869,24 @@ func (e *Engine) freeRunningState(rs *runningState) {
 	e.rsPool = append(e.rsPool, rs)
 }
 
-// insertRunning adds r to both running views: O(log running) search
-// plus one slice shift each.
-func (e *Engine) insertRunning(r sched.RunningJob) {
+// insertRunning adds rs to the running views (the remote view only if
+// it holds pool memory): O(log running) search plus one slice shift
+// each.
+func (e *Engine) insertRunning(rs *runningState) {
+	r := e.runningJob(rs)
 	i, _ := slices.BinarySearchFunc(e.byID, r, byJobID)
 	e.byID = slices.Insert(e.byID, i, r)
 	j, _ := slices.BinarySearchFunc(e.byEnd, r, byEndThenID)
 	e.byEnd = slices.Insert(e.byEnd, j, r)
+	if rs.alloc.RemoteMiB() > 0 {
+		k, _ := slices.BinarySearchFunc(e.remote, rs.job.ID, remoteByID)
+		e.remote = slices.Insert(e.remote, k, rs)
+	}
 }
 
-// removeRunning drops job id from both running views.
-func (e *Engine) removeRunning(id int) {
+// removeRunning drops rs from the running views.
+func (e *Engine) removeRunning(rs *runningState) {
+	id := rs.job.ID
 	i, ok := slices.BinarySearchFunc(e.byID, id, func(r sched.RunningJob, id int) int { return cmp.Compare(r.Job.ID, id) })
 	if !ok {
 		panic(fmt.Sprintf("sim: job %d missing from the ID view", id))
@@ -842,6 +897,13 @@ func (e *Engine) removeRunning(id int) {
 	}
 	e.byID = slices.Delete(e.byID, i, i+1)
 	e.byEnd = slices.Delete(e.byEnd, j, j+1)
+	if rs.alloc.RemoteMiB() > 0 {
+		k, ok := slices.BinarySearchFunc(e.remote, id, remoteByID)
+		if !ok {
+			panic(fmt.Sprintf("sim: job %d missing from the remote view", id))
+		}
+		e.remote = slices.Delete(e.remote, k, k+1)
+	}
 }
 
 // start registers a dispatched job (its allocation is already committed
@@ -850,23 +912,19 @@ func (e *Engine) start(now int64, d sched.Dispatch) {
 	job := d.Job
 	// Post-commit dilation: pool congestion now includes this job.
 	dil := e.currentDilation(d.Plan.Alloc)
-	limit := job.Estimate
-	if e.cfg.ExtendLimit && dil > 1 {
-		limit = int64(float64(job.Estimate)*dil + 0.999999)
-	}
 	rs := e.newRunningState()
 	*rs = runningState{
 		job:        job,
 		alloc:      d.Plan.Alloc,
 		start:      now,
-		limit:      limit,
+		limit:      sched.Limit(job, dil, e.cfg.ExtendLimit),
 		dilAtStart: dil,
 		workLeft:   float64(job.BaseRuntime),
 		rate:       1 / dil,
 		lastUpdate: now,
 	}
 	e.running[job.ID] = rs
-	e.insertRunning(e.runningJob(rs))
+	e.insertRunning(rs)
 	e.scheduleEnd(rs)
 	for _, o := range e.outs {
 		o.dispatch(now, job, rs.alloc, dil)
@@ -895,18 +953,18 @@ func (e *Engine) currentDilation(a *cluster.Allocation) float64 {
 
 // scheduleEnd (re)schedules the job's termination: completion when its
 // remaining work drains at the current rate, or the kill limit,
-// whichever is earlier.
+// whichever is earlier. A pending end event is moved in place
+// (des.Simulator.Reschedule), which fires exactly where cancelling it
+// and scheduling a new one would.
 func (e *Engine) scheduleEnd(rs *runningState) {
-	if rs.endEv != nil {
-		e.sim.Cancel(rs.endEv)
-		rs.endEv = nil
-	}
 	now := rs.lastUpdate
-	finish := now + int64(rs.workLeft/rs.rate+0.999999)
 	deadline := rs.start + rs.limit
-	at, killed := finish, false
-	if deadline < finish {
-		at, killed = deadline, true
+	// The finish is now + ⌊left⌋. It is compared with the deadline as a
+	// float before the conversion, so a finish too far out for an int64
+	// (or a NaN from a degenerate rate) becomes a kill at the deadline.
+	at, killed := deadline, true
+	if left := rs.workLeft/rs.rate + 0.999999; left < float64(deadline-now+1) {
+		at, killed = now+int64(left), false
 	}
 	if at < now {
 		at = now
@@ -923,6 +981,10 @@ func (e *Engine) scheduleEnd(rs *runningState) {
 			rs.endLive = e.newEndPayload(id, false)
 		}
 		payload = rs.endLive
+	}
+	if rs.endEv != nil {
+		e.sim.Reschedule(rs.endEv, des.Time(at), payload)
+		return
 	}
 	rs.endEv = e.sim.ScheduleKind(des.Time(at), evEnd, payload, e.hEnd)
 }
@@ -959,7 +1021,7 @@ func (e *Engine) terminate(now int64, jobID int, killed, byFailure bool) {
 	if err := e.m.Release(jobID); err != nil {
 		panic(fmt.Sprintf("sim: releasing job %d: %v", jobID, err))
 	}
-	e.removeRunning(jobID)
+	e.removeRunning(rs)
 	delete(e.running, jobID)
 	job := rs.job
 	failed := false
@@ -1123,15 +1185,12 @@ func (e *Engine) afterChange(now int64) {
 // beta shift — which changes rates even under models whose dilation is
 // otherwise fixed at dispatch.
 func (e *Engine) redilateRunning(now int64) {
-	// Deterministic order: ascending job ID. The ID view is maintained
-	// in exactly that order, so no per-call collection or sort is needed
-	// (same-instant DES events fire in scheduling order, so the order
-	// end events are rescheduled in is behavior-relevant).
-	for i := range e.byID {
-		rs := e.running[e.byID[i].Job.ID]
-		if rs.alloc.RemoteMiB() == 0 {
-			continue
-		}
+	// Only jobs holding pool memory can change rate, and the remote
+	// view holds exactly those in the deterministic order: ascending
+	// job ID (same-instant DES events fire in scheduling order, so the
+	// order end events are rescheduled in is behavior-relevant).
+	e.redilated += len(e.remote)
+	for _, rs := range e.remote {
 		// Integrate progress at the old rate, then switch rates.
 		elapsed := float64(now - rs.lastUpdate)
 		rs.workLeft -= elapsed * rs.rate

@@ -68,6 +68,12 @@ type Job struct {
 	BaseRuntime int64
 }
 
+// MaxSeconds bounds every time a job carries (Submit, Estimate and
+// BaseRuntime): 2^40 s, about 34,800 years. Anything later is no real
+// job, and the bound leaves the simulator room to add a start, a
+// dilated limit and a finish without overflowing int64.
+const MaxSeconds = 1 << 40
+
 // Validate reports the first structural problem with the job, or nil.
 func (j *Job) Validate() error {
 	switch {
@@ -85,6 +91,9 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("workload: job %d: non-positive estimate %d", j.ID, j.Estimate)
 	case j.BaseRuntime <= 0:
 		return fmt.Errorf("workload: job %d: non-positive runtime %d", j.ID, j.BaseRuntime)
+	case j.Submit > MaxSeconds || j.Estimate > MaxSeconds || j.BaseRuntime > MaxSeconds:
+		return fmt.Errorf("workload: job %d: submit %d, estimate %d or runtime %d above MaxSeconds (%d)",
+			j.ID, j.Submit, j.Estimate, j.BaseRuntime, int64(MaxSeconds))
 	}
 	return nil
 }

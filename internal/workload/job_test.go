@@ -31,6 +31,9 @@ func TestJobValidateErrors(t *testing.T) {
 		{"negative mem", func(j *Job) { j.MemPerNode = -1 }, "negative mem"},
 		{"zero estimate", func(j *Job) { j.Estimate = 0 }, "non-positive estimate"},
 		{"zero runtime", func(j *Job) { j.BaseRuntime = 0 }, "non-positive runtime"},
+		{"submit past MaxSeconds", func(j *Job) { j.Submit = MaxSeconds + 1 }, "above MaxSeconds"},
+		{"estimate past MaxSeconds", func(j *Job) { j.Estimate = MaxSeconds + 1 }, "above MaxSeconds"},
+		{"runtime past MaxSeconds", func(j *Job) { j.BaseRuntime, j.Estimate = MaxSeconds+1, MaxSeconds+1 }, "above MaxSeconds"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -44,6 +47,15 @@ func TestJobValidateErrors(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestJobValidateAtMaxSeconds: MaxSeconds itself is a valid time.
+func TestJobValidateAtMaxSeconds(t *testing.T) {
+	j := validJob()
+	j.Submit, j.Estimate, j.BaseRuntime = MaxSeconds, MaxSeconds, MaxSeconds
+	if err := j.Validate(); err != nil {
+		t.Fatalf("job at MaxSeconds rejected: %v", err)
 	}
 }
 

@@ -258,9 +258,10 @@ func (d *SWFDecoder) Skipped() int { return d.skipped }
 func (d *SWFDecoder) Err() error { return d.err }
 
 // ReadSWF parses an SWF trace. Jobs with unusable records (zero size,
-// zero runtime, negative submit, memory per node beyond int64) are
-// skipped rather than failing the whole trace, matching common
-// simulator practice; a count of skipped lines is returned.
+// zero runtime, negative submit, a submit, runtime or requested time
+// above MaxSeconds, memory per node beyond int64) are skipped rather
+// than failing the whole trace, matching common simulator practice; a
+// count of skipped lines is returned.
 func ReadSWF(r io.Reader, opt SWFReadOptions) (*Workload, int, error) {
 	d := NewSWFDecoder(r, opt)
 	w := &Workload{Name: "swf"}
@@ -279,8 +280,9 @@ func ReadSWF(r io.Reader, opt SWFReadOptions) (*Workload, int, error) {
 }
 
 // jobFromSWF builds the job of one parsed record, or reports false for
-// an unusable record (zero size, zero runtime, negative submit, or
-// memory per node beyond int64).
+// an unusable record (zero size, zero runtime, negative submit, a
+// submit, runtime or requested time above MaxSeconds, or memory per
+// node beyond int64).
 func jobFromSWF(v []int64, opt SWFReadOptions) (Job, bool) {
 	procs := v[4]
 	if procs <= 0 {
@@ -291,7 +293,8 @@ func jobFromSWF(v []int64, opt SWFReadOptions) (Job, bool) {
 	if estimate <= 0 {
 		estimate = runtime // archive convention when request is absent
 	}
-	if v[0] <= 0 || v[1] < 0 || procs <= 0 || runtime <= 0 || estimate <= 0 {
+	if v[0] <= 0 || v[1] < 0 || procs <= 0 || runtime <= 0 || estimate <= 0 ||
+		v[1] > MaxSeconds || runtime > MaxSeconds || estimate > MaxSeconds {
 		return Job{}, false
 	}
 	nodes := int(procs)

@@ -156,6 +156,29 @@ func TestReadSWFSkipsUnusableRecords(t *testing.T) {
 	}
 }
 
+// TestReadSWFSkipsTimesPastMaxSeconds: a record whose requested time
+// is near math.MaxInt64 used to be accepted, and the job was killed the
+// instant it started once its start plus limit wrapped. It is unusable
+// now, like a submit or runtime past MaxSeconds, and the record after
+// it decodes unchanged.
+func TestReadSWFSkipsTimesPastMaxSeconds(t *testing.T) {
+	want := Job{ID: 2, User: 7, Submit: 10, Nodes: 2, MemPerNode: 512, Estimate: 60, BaseRuntime: 50}
+	for _, first := range []string{
+		"1 5 -1 100 4 -1 -1 -1 9223372036854775807 -1 1 7 0 -1 -1 -1 -1 -1",
+		"1 5 -1 1099511627777 4 -1 -1 -1 200 -1 1 7 0 -1 -1 -1 -1 -1",
+		"1 1099511627777 -1 100 4 -1 -1 -1 200 -1 1 7 0 -1 -1 -1 -1 -1",
+	} {
+		in := first + "\n2 10 -1 50 2 -1 -1 -1 60 -1 1 7 0 -1 -1 -1 -1 -1\n"
+		w, skipped, err := ReadSWF(strings.NewReader(in), SWFReadOptions{DefaultMemPerNode: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(w.Jobs) != 1 || skipped != 1 || *w.Jobs[0] != want {
+			t.Fatalf("%q: jobs=%v skipped=%d, want job 2 alone as %+v", first, w.Jobs, skipped, want)
+		}
+	}
+}
+
 func TestReadSWFErrors(t *testing.T) {
 	// Too few fields.
 	if _, _, err := ReadSWF(strings.NewReader("1 2 3\n"), SWFReadOptions{}); err == nil {
