@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"sort"
 
 	"dismem/internal/stats"
@@ -36,23 +37,27 @@ type FairnessReport struct {
 // Recorder.Add in both modes — O(users) memory, so per-user fairness
 // survives bounded (non-retaining) runs. The accumulation order is the
 // record order, exactly what a scan over retained records would sum.
+// A recorder keeps its tallies in one slice, ascending by user, so a
+// clone copies one slice and Fairness and State need no sort.
 type userAcc struct {
+	user      int
 	jobs      int
 	wait      float64
 	bsld      float64
 	nodeHours float64
 }
 
-// tallyUser folds one record into the per-user accumulators.
+// tallyUser folds one record into the per-user accumulators, inserting
+// the user at their first non-rejected record.
 func (rec *Recorder) tallyUser(r JobRecord) {
 	if r.Rejected {
 		return
 	}
-	a := rec.byUser[r.User]
-	if a == nil {
-		a = &userAcc{}
-		rec.byUser[r.User] = a
+	i := sort.Search(len(rec.users), func(i int) bool { return rec.users[i].user >= r.User })
+	if i == len(rec.users) || rec.users[i].user != r.User {
+		rec.users = slices.Insert(rec.users, i, userAcc{user: r.User})
 	}
+	a := &rec.users[i]
 	a.jobs++
 	a.wait += float64(r.Wait())
 	a.bsld += r.BoundedSlowdown()
@@ -64,21 +69,23 @@ func (rec *Recorder) tallyUser(r JobRecord) {
 // with no completed jobs do not appear. Works in both recorder modes.
 func (rec *Recorder) Fairness() *FairnessReport {
 	fr := &FairnessReport{}
-	var speeds, hours []float64
-	for user, a := range rec.byUser {
+	n := len(rec.users)
+	if n == 0 {
+		return fr
+	}
+	fr.Users = make([]UserStats, n)
+	speeds, hours := make([]float64, n), make([]float64, n)
+	for i, a := range rec.users {
 		us := UserStats{
-			User:      user,
+			User:      a.user,
 			Jobs:      a.jobs,
 			MeanWait:  a.wait / float64(a.jobs),
 			MeanBSld:  a.bsld / float64(a.jobs),
 			NodeHours: a.nodeHours,
 		}
-		fr.Users = append(fr.Users, us)
-	}
-	sort.Slice(fr.Users, func(i, j int) bool { return fr.Users[i].User < fr.Users[j].User })
-	for i, us := range fr.Users {
-		speeds = append(speeds, 1/(1+us.MeanWait))
-		hours = append(hours, us.NodeHours)
+		fr.Users[i] = us
+		speeds[i] = 1 / (1 + us.MeanWait)
+		hours[i] = us.NodeHours
 		if i == 0 || us.MeanWait > fr.WorstUserMeanWait {
 			fr.WorstUserMeanWait = us.MeanWait
 		}

@@ -5,6 +5,9 @@
 package metrics
 
 import (
+	"sort"
+	"sync"
+
 	"dismem/internal/cluster"
 	"dismem/internal/stats"
 )
@@ -81,7 +84,9 @@ func (r *JobRecord) BoundedSlowdown() float64 {
 // arrives, so every Report field but the four percentiles is the same
 // left fold in either mode. A retain-mode Report selects its exact
 // percentiles from the retained records (stats.PercentileInPlace):
-// O(records), no sort.
+// O(records), no sort. A checkpoint's recorder and its forks share a
+// ranked prefix instead, so a fork's Report costs what its own records
+// add (rankedPrefix).
 //
 // Memory bounds (DESIGN.md §7): the usage integrals and makespan
 // tracking are O(1) in both modes — Observe never retains samples, it
@@ -92,8 +97,9 @@ type Recorder struct {
 	retain bool
 	fold   fold          // retain mode's running reduction (bounded mode folds in agg)
 	chunks [][]JobRecord // retained records, recordChunk to a chunk
+	ranked *rankedPrefix // the first ranked.n records' sorted quantities (retain mode)
 	agg    *Aggregate    // bounded-mode online reduction (nil when retaining)
-	byUser map[int]*userAcc
+	users  []userAcc     // fairness tallies, ascending by user
 
 	lastT     int64
 	haveT     bool
@@ -112,9 +118,37 @@ type Recorder struct {
 // append is cheap.
 const recordChunk = 256
 
+// rankedPrefix is the sorted waits, bounded slowdowns and remote
+// dilations of a recorder's first n retained records. Retained records
+// are never written again (Clone), so every recorder whose first n
+// records are these may share one: a checkpoint's recorder and its
+// forks do. It is built once, by the first Report that uses it, and
+// is immutable after that.
+type rankedPrefix struct {
+	n               int
+	once            sync.Once
+	wait, bsld, dil []float64
+}
+
+// build sorts the quantities of rec's first p.n records, once. Any
+// recorder sharing p may build it: they all hold the same first p.n.
+func (p *rankedPrefix) build(rec *Recorder) {
+	p.once.Do(func() {
+		p.wait = rec.gather(make([]float64, 0, p.n), 0, p.n, recordWait)
+		sort.Float64s(p.wait)
+		// One buffer of the right size serves the dilations, copied
+		// out at their own size, and then the slowdowns.
+		buf := rec.gather(make([]float64, 0, len(p.wait)), 0, p.n, recordRemoteDilation)
+		p.dil = append([]float64(nil), buf...)
+		sort.Float64s(p.dil)
+		p.bsld = rec.gather(buf, 0, p.n, recordBSld)
+		sort.Float64s(p.bsld)
+	})
+}
+
 // NewRecorder returns an empty retain-all recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{retain: true, byUser: map[int]*userAcc{}}
+	return &Recorder{retain: true}
 }
 
 // NewBoundedRecorder returns a recorder whose memory is independent of
@@ -123,7 +157,7 @@ func NewRecorder() *Recorder {
 // percentile fields, which come from hybrid estimators — exact up to
 // stats.ExactQuantileBuffer observations, P² estimates beyond.
 func NewBoundedRecorder() *Recorder {
-	return &Recorder{agg: NewAggregate(), byUser: map[int]*userAcc{}}
+	return &Recorder{agg: NewAggregate()}
 }
 
 // Bounded reports whether the recorder runs in bounded (non-retaining)
@@ -143,6 +177,11 @@ func (rec *Recorder) Bounded() bool { return !rec.retain }
 // first append copies that one chunk, so neither ever writes memory
 // the other can read. Clone only reads rec, so any number of
 // goroutines may clone one recorder at once.
+//
+// A retain-mode clone is a checkpoint or a fork of one, so it gets a
+// ranked prefix covering all its records: rec's own when that covers
+// all of rec's records (a fork of a checkpoint), a fresh unbuilt one
+// otherwise (a checkpoint of a live or forked run).
 func (rec *Recorder) Clone() *Recorder {
 	c := *rec
 	c.chunks = append([][]JobRecord(nil), rec.chunks...)
@@ -150,15 +189,13 @@ func (rec *Recorder) Clone() *Recorder {
 		last := c.chunks[n-1]
 		c.chunks[n-1] = last[:len(last):len(last)]
 	}
+	if n := rec.count(); rec.retain && (rec.ranked == nil || rec.ranked.n != n) {
+		c.ranked = &rankedPrefix{n: n}
+	}
 	if rec.agg != nil {
 		c.agg = rec.agg.Clone()
 	}
-	c.byUser = make(map[int]*userAcc, len(rec.byUser))
-	slab := make([]userAcc, 0, len(rec.byUser))
-	for u, a := range rec.byUser {
-		slab = append(slab, *a)
-		c.byUser[u] = &slab[len(slab)-1]
-	}
+	c.users = append([]userAcc(nil), rec.users...)
 	return &c
 }
 
@@ -222,15 +259,23 @@ func (rec *Recorder) keep(r *JobRecord) {
 	rec.chunks[n-1] = append(last, *r)
 }
 
+// count returns the number of retained records.
+func (rec *Recorder) count() int {
+	n := len(rec.chunks)
+	if n == 0 {
+		return 0
+	}
+	return (n-1)*recordChunk + len(rec.chunks[n-1])
+}
+
 // Records returns a copy of the job records, so callers can sort or
 // mutate freely without corrupting recorder state. It returns nil for
 // a bounded recorder (nothing is retained).
 func (rec *Recorder) Records() []JobRecord {
-	n := len(rec.chunks)
-	if n == 0 {
+	if len(rec.chunks) == 0 {
 		return nil
 	}
-	out := make([]JobRecord, 0, (n-1)*recordChunk+len(rec.chunks[n-1]))
+	out := make([]JobRecord, 0, rec.count())
 	for _, c := range rec.chunks {
 		out = append(out, c...)
 	}
@@ -238,8 +283,9 @@ func (rec *Recorder) Records() []JobRecord {
 }
 
 // Report reduces the recorder to summary metrics for a machine built
-// from cfg. It never writes the recorder, so reports of one recorder
-// may be taken concurrently.
+// from cfg. It never writes the recorder, and ranks a shared prefix
+// only under its sync.Once, so reports of one recorder, or of
+// recorders sharing a prefix, may be taken concurrently.
 func (rec *Recorder) Report(cfg cluster.Config) *Report {
 	rp := &Report{
 		FirstSubmit: rec.firstSubmit,
@@ -277,27 +323,57 @@ func (rec *Recorder) Report(cfg cluster.Config) *Report {
 // retained records. One buffer, allocated per call, holds each
 // quantity in turn, and stats.PercentileInPlace selects from it, so a
 // report costs O(records) with no sort.
+//
+// A recorder whose ranked prefix is longer than its tail (the records
+// past it) takes the ranked path instead: the buffer holds only the
+// tail, sorted, and each percentile comes from the ranked prefix
+// merged with it (stats.PercentileOfSorted), so a fork's report costs
+// O(tail · log tail) once the prefix is ranked. A tail at least as
+// long as the prefix would pay more to sort than to select over all
+// records; it, and an empty prefix, select as above.
 func (rec *Recorder) exactPercentiles(rp *Report) {
-	buf := rec.gather(make([]float64, 0, rp.Completed+rp.Killed), func(r *JobRecord) (float64, bool) {
-		return float64(r.Wait()), !r.Rejected
-	})
-	rp.P95Wait = stats.PercentileInPlace(buf, 95)
-	rp.P99Wait = stats.PercentileInPlace(buf, 99)
-	buf = rec.gather(buf, func(r *JobRecord) (float64, bool) {
-		return r.BoundedSlowdown(), !r.Rejected
-	})
-	rp.P95BSld = stats.PercentileInPlace(buf, 95)
-	buf = rec.gather(buf, func(r *JobRecord) (float64, bool) {
-		return r.Dilation, !r.Rejected && r.RemoteMiB > 0
-	})
-	rp.P95DilationRemote = stats.PercentileInPlace(buf, 95)
+	pre, n := rec.ranked, rec.count()
+	if pre == nil || n-pre.n >= pre.n {
+		buf := rec.gather(make([]float64, 0, rp.Completed+rp.Killed), 0, n, recordWait)
+		rp.P95Wait = stats.PercentileInPlace(buf, 95)
+		rp.P99Wait = stats.PercentileInPlace(buf, 99)
+		buf = rec.gather(buf, 0, n, recordBSld)
+		rp.P95BSld = stats.PercentileInPlace(buf, 95)
+		buf = rec.gather(buf, 0, n, recordRemoteDilation)
+		rp.P95DilationRemote = stats.PercentileInPlace(buf, 95)
+		return
+	}
+	pre.build(rec)
+	tail := func(buf []float64, val func(*JobRecord) (float64, bool)) []float64 {
+		buf = rec.gather(buf, pre.n, n, val)
+		sort.Float64s(buf)
+		return buf
+	}
+	buf := tail(make([]float64, 0, n-pre.n), recordWait)
+	rp.P95Wait = stats.PercentileOfSorted(pre.wait, buf, 95)
+	rp.P99Wait = stats.PercentileOfSorted(pre.wait, buf, 99)
+	buf = tail(buf, recordBSld)
+	rp.P95BSld = stats.PercentileOfSorted(pre.bsld, buf, 95)
+	buf = tail(buf, recordRemoteDilation)
+	rp.P95DilationRemote = stats.PercentileOfSorted(pre.dil, buf, 95)
 }
 
-// gather refills buf with val of every retained record val selects.
-func (rec *Recorder) gather(buf []float64, val func(*JobRecord) (float64, bool)) []float64 {
+// The three percentile quantities of a record, and whether the record
+// counts toward each: every non-rejected record has a wait and a
+// bounded slowdown, and those that held pool memory a remote dilation.
+func recordWait(r *JobRecord) (float64, bool) { return float64(r.Wait()), !r.Rejected }
+func recordBSld(r *JobRecord) (float64, bool) { return r.BoundedSlowdown(), !r.Rejected }
+func recordRemoteDilation(r *JobRecord) (float64, bool) {
+	return r.Dilation, !r.Rejected && r.RemoteMiB > 0
+}
+
+// gather refills buf with val of every retained record in [from, to)
+// that val selects, in record order.
+func (rec *Recorder) gather(buf []float64, from, to int, val func(*JobRecord) (float64, bool)) []float64 {
 	buf = buf[:0]
-	for _, c := range rec.chunks {
-		for i := range c {
+	for ci := from / recordChunk; ci*recordChunk < to; ci++ {
+		c := rec.chunks[ci]
+		for i := max(from-ci*recordChunk, 0); i < min(to-ci*recordChunk, len(c)); i++ {
 			if v, ok := val(&c[i]); ok {
 				buf = append(buf, v)
 			}

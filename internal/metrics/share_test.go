@@ -81,10 +81,12 @@ const (
 	budgetRecords = 20000
 	// cloneAllocBudget and cloneByteBudget bound one Clone of a
 	// recorder retaining budgetRecords records of 97 users. Measured 7
-	// allocations and 8,024 B (the recorder, the chunk list, the map
-	// and the one slab of user tallies), plus a margin of 1 allocation
-	// and 8 KiB. Copying the records, or one allocation per user,
-	// fails both: the copying Clone made 103 allocations of 2.4 MB.
+	// allocations and 8,024 B with the tallies in a map (the recorder,
+	// the chunk list, the map and one slab of tallies), and 4 of
+	// 6,624 B since they are one slice in user order (the recorder,
+	// the chunk list, the ranked prefix and the slice). Copying the
+	// records, or one allocation per user, fails both: the copying
+	// Clone made 103 allocations of 2.4 MB.
 	cloneAllocBudget = 8
 	cloneByteBudget  = 16 << 10
 	// reportAllocBudget, reportBytesPerRecord and reportByteSlack bound
@@ -96,6 +98,11 @@ const (
 	reportAllocBudget    = 2
 	reportBytesPerRecord = 8
 	reportByteSlack      = 1 << 10
+	// forkReportAllocBudget bounds one Report of a fork with a
+	// forkTail-record tail once its checkpoint's prefix is ranked: the
+	// Report and one tail buffer, whatever the prefix holds.
+	forkReportAllocBudget = 2
+	forkTail              = 10
 )
 
 // allocsAndBytes returns f's heap allocations and allocated bytes per
@@ -123,7 +130,9 @@ func allocsAndBytes(runs int, f func()) (allocs, bytes float64) {
 
 // TestCloneAndReportCostBudget pins what a fork pays for the prefix
 // it inherits: with budgetRecords records retained, a Clone copies
-// O(records/chunk) slice headers and a Report allocates one buffer.
+// O(records/chunk) slice headers and a Report allocates one buffer,
+// and a fork's Report from a ranked prefix allocates what its tail
+// needs, independent of the prefix.
 func TestCloneAndReportCostBudget(t *testing.T) {
 	rec := NewRecorder()
 	for _, r := range fakeRecords(budgetRecords) {
@@ -147,5 +156,35 @@ func TestCloneAndReportCostBudget(t *testing.T) {
 	}
 	if sink.Report(cfg).Completed != rp.Completed {
 		t.Fatal("clone and original disagree")
+	}
+
+	// A fork of a checkpoint reports from the checkpoint's ranked
+	// prefix: once one report has ranked it, a report costs what the
+	// fork's own records add, the same bytes at any prefix length.
+	forkReport := func(n int) (allocs, bytes float64) {
+		recs := fakeRecords(n + forkTail)
+		live := NewRecorder()
+		for _, r := range recs[:n] {
+			r.User = r.ID % 97
+			live.Add(r)
+		}
+		fork := live.Clone().Clone()
+		for _, r := range recs[n:] {
+			r.User = r.ID % 97
+			fork.Add(r)
+		}
+		fork.Report(cfg)
+		return allocsAndBytes(20, func() { rp = fork.Report(cfg) })
+	}
+	smallAllocs, smallBytes := forkReport(budgetRecords / 10)
+	allocs, bytes = forkReport(budgetRecords)
+	t.Logf("fork Report with a %d-record tail: %.1f allocs, %.0f B at %d prefix records, %.1f and %.0f B at %d",
+		forkTail, smallAllocs, smallBytes, budgetRecords/10, allocs, bytes, budgetRecords)
+	if allocs > forkReportAllocBudget || smallAllocs > forkReportAllocBudget {
+		t.Errorf("fork Report with a %d-record tail: %.1f and %.1f allocs, budget %d", forkTail, smallAllocs, allocs, forkReportAllocBudget)
+	}
+	if bytes != smallBytes {
+		t.Errorf("fork Report with a %d-record tail: %.0f B at %d prefix records but %.0f B at %d — the report grows with the prefix",
+			forkTail, smallBytes, budgetRecords/10, bytes, budgetRecords)
 	}
 }

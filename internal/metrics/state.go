@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 
 	"dismem/internal/stats"
 )
@@ -104,8 +103,8 @@ type RecorderState struct {
 	HaveSubmit  bool  `json:"haveSubmit"`
 }
 
-// State captures the recorder. Fairness tallies are ordered by user ID
-// so the serialized form is deterministic across runs.
+// State captures the recorder. Fairness tallies are kept ordered by
+// user ID, so the serialized form is deterministic across runs.
 func (rec *Recorder) State() RecorderState {
 	st := RecorderState{
 		Retain:      rec.retain,
@@ -124,17 +123,18 @@ func (rec *Recorder) State() RecorderState {
 		agg := rec.agg.State()
 		st.Agg = &agg
 	}
-	for user, a := range rec.byUser {
+	for _, a := range rec.users {
 		st.ByUser = append(st.ByUser, UserAccState{
-			User: user, Jobs: a.jobs, Wait: a.wait, BSld: a.bsld, NodeHours: a.nodeHours,
+			User: a.user, Jobs: a.jobs, Wait: a.wait, BSld: a.bsld, NodeHours: a.nodeHours,
 		})
 	}
-	sort.Slice(st.ByUser, func(i, j int) bool { return st.ByUser[i].User < st.ByUser[j].User })
 	return st
 }
 
 // RecorderFromState rebuilds a recorder from a captured state. The
-// restored recorder is sinkless.
+// restored recorder is sinkless. It is a checkpoint's, so a retain-mode
+// one gets a fresh ranked prefix covering all its records, which its
+// forks share (Clone).
 func RecorderFromState(st RecorderState) (*Recorder, error) {
 	if st.Retain == (st.Agg != nil) {
 		return nil, fmt.Errorf("metrics: recorder state wants exactly one of retained records (retain) or an online aggregate")
@@ -144,7 +144,6 @@ func RecorderFromState(st RecorderState) (*Recorder, error) {
 	}
 	rec := &Recorder{
 		retain:      st.Retain,
-		byUser:      make(map[int]*userAcc, len(st.ByUser)),
 		lastT:       st.LastT,
 		haveT:       st.HaveT,
 		nodeInt:     st.NodeInt,
@@ -165,6 +164,10 @@ func RecorderFromState(st RecorderState) (*Recorder, error) {
 	for i := range st.Records {
 		rec.keep(&st.Records[i])
 	}
+	if rec.retain {
+		rec.ranked = &rankedPrefix{n: len(st.Records)}
+	}
+	rec.users = make([]userAcc, 0, len(st.ByUser))
 	prev := -1
 	first := true
 	for _, ua := range st.ByUser {
@@ -175,7 +178,7 @@ func RecorderFromState(st RecorderState) (*Recorder, error) {
 		if ua.Jobs <= 0 {
 			return nil, fmt.Errorf("metrics: recorder state user %d has %d jobs", ua.User, ua.Jobs)
 		}
-		rec.byUser[ua.User] = &userAcc{jobs: ua.Jobs, wait: ua.Wait, bsld: ua.BSld, nodeHours: ua.NodeHours}
+		rec.users = append(rec.users, userAcc{user: ua.User, jobs: ua.Jobs, wait: ua.Wait, bsld: ua.BSld, nodeHours: ua.NodeHours})
 	}
 	return rec, nil
 }

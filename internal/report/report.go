@@ -28,8 +28,8 @@ func Format(label string, res *dismem.Result) string {
 	fmt.Fprintf(&b, "local mem util    %.1f%%\n", 100*r.LocalMemUtil)
 	fmt.Fprintf(&b, "pool util         %.1f%% (mean fabric demand %.1f GiB/s)\n", 100*r.PoolUtil, r.MeanFabricDemand)
 	fmt.Fprintf(&b, "throughput        %.1f jobs/h (%.0f node-hours delivered)\n", r.ThroughputPerHour, r.NodeHours)
-	fmt.Fprintf(&b, "pool-using jobs   %.1f%% (mean dilation %.2f, p95 %.2f)\n",
-		100*r.RemoteJobFraction, r.DilationRemote.Mean(), r.P95DilationRemote)
+	fmt.Fprintf(&b, "pool-using jobs   %.1f%% (mean dilation %s, p95 %s)\n",
+		100*r.RemoteJobFraction, dilation(r.DilationRemote.Mean()), dilation(r.P95DilationRemote))
 	if r.NodeFailures > 0 {
 		fmt.Fprintf(&b, "failures          %d node failures, %d jobs killed by them\n",
 			r.NodeFailures, r.FailureKills)
@@ -40,4 +40,15 @@ func Format(label string, res *dismem.Result) string {
 	fair := res.Recorder.Fairness()
 	fmt.Fprintf(&b, "fairness          Jain(wait) %.3f over %d users\n", fair.JainWait, len(fair.Users))
 	return b.String()
+}
+
+// dilation formats a runtime multiplier: two decimals, as every
+// realistic model dilates by well under 1e6, and three significant
+// digits from 1e6 up, so a huge dilation cannot print hundreds of
+// digits.
+func dilation(x float64) string {
+	if x < 1e6 {
+		return fmt.Sprintf("%.2f", x)
+	}
+	return fmt.Sprintf("%.3g", x)
 }

@@ -151,11 +151,19 @@ type WhatIfResponse struct {
 // (checkpoint, horizon) window: every query against the same window
 // shares one baseline replay. Entries use a per-key once so concurrent
 // first queries compute it exactly once (and all see the same error if
-// it fails).
+// it fails). The client picks the horizon, so the windows are
+// unbounded; the cache is cleared wholesale when a new window finds it
+// holding baselineCacheCap, as sweep's workload cache is. A baseline is
+// deterministic, so one computed again is the same bytes.
 type baselineCache struct {
 	mu sync.Mutex
 	m  map[baseKey]*baseEntry
 }
+
+// baselineCacheCap bounds the baseline cache: far more windows than a
+// ring of checkpoints and a client's few horizons use, and about 1 MB
+// of entries at most.
+const baselineCacheCap = 4096
 
 type baseKey struct {
 	at, horizon int64
@@ -177,6 +185,9 @@ func (c *baselineCache) baseline(key baseKey, run func() (RunSummary, error)) (s
 	}
 	e, ok := c.m[key]
 	if !ok {
+		if len(c.m) >= baselineCacheCap {
+			clear(c.m)
+		}
 		e = &baseEntry{}
 		c.m[key] = e
 	}

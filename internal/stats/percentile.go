@@ -42,16 +42,7 @@ func PercentileInPlace(xs []float64, p float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	lo, hi, frac := 0, 0, 0.0
-	switch {
-	case p <= 0:
-	case p >= 100:
-		lo, hi = n-1, n-1
-	default:
-		rank := p / 100 * float64(n-1)
-		lo, hi = int(math.Floor(rank)), int(math.Ceil(rank))
-		frac = rank - float64(lo)
-	}
+	lo, hi, frac := ranks(n, p)
 	selectRank(xs, lo)
 	if lo == hi {
 		return xs[lo]
@@ -62,10 +53,73 @@ func PercentileInPlace(xs []float64, p float64) float64 {
 			up = x
 		}
 	}
-	// Unlike a weighted sum, this form never dips below xs[lo] in the
-	// last bit: it is monotone in frac and exact when xs[lo] == up.
-	return xs[lo] + (up-xs[lo])*frac
+	return interpolate(xs[lo], up, frac)
 }
+
+// PercentileOfSorted is Percentile of the union of a and b, each
+// sorted by sort.Float64s, in O(log min(len(a), len(b))). A binary
+// search finds the split that puts the ⌊r⌋+1 smallest values of the
+// union in a[:i] and b[:j], so rank ⌊r⌋ is the larger of a[i−1] and
+// b[j−1] and rank ⌈r⌉ the smaller of a[i] and b[j]. It equals
+// PercentileInPlace of the concatenation, up to the ±0 and NaN bits
+// that order calls equal.
+func PercentileOfSorted(a, b []float64, p float64) float64 {
+	n := len(a) + len(b)
+	if n == 0 {
+		return 0
+	}
+	lo, hi, frac := ranks(n, p)
+	// i counts a's values among the lo+1 smallest: the first i in
+	// [max(0, lo+1−len(b)), min(lo+1, len(a))] whose a[i] is not
+	// less than b's lo−i, the last value b would then contribute.
+	first := max(0, lo+1-len(b))
+	i := first + sort.Search(min(lo+1, len(a))-first, func(d int) bool {
+		return !less(a[first+d], b[lo-first-d])
+	})
+	j := lo + 1 - i
+	var x float64
+	switch {
+	case i == 0:
+		x = b[j-1]
+	case j == 0 || !less(a[i-1], b[j-1]):
+		x = a[i-1]
+	default:
+		x = b[j-1]
+	}
+	if lo == hi {
+		return x
+	}
+	var up float64
+	switch {
+	case i == len(a):
+		up = b[j]
+	case j == len(b) || !less(b[j], a[i]):
+		up = a[i]
+	default:
+		up = b[j]
+	}
+	return interpolate(x, up, frac)
+}
+
+// ranks returns the ranks a percentile interpolates between among n
+// sorted values, ⌊r⌋ and ⌈r⌉ for r = p/100·(n−1), and r's fraction.
+func ranks(n int, p float64) (lo, hi int, frac float64) {
+	switch {
+	case p <= 0:
+	case p >= 100:
+		lo, hi = n-1, n-1
+	default:
+		rank := p / 100 * float64(n-1)
+		lo, hi = int(math.Floor(rank)), int(math.Ceil(rank))
+		frac = rank - float64(lo)
+	}
+	return lo, hi, frac
+}
+
+// interpolate returns the value frac of the way from x to up. Unlike a
+// weighted sum, this form never dips below x in the last bit: it is
+// monotone in frac and exact when x == up.
+func interpolate(x, up, frac float64) float64 { return x + (up-x)*frac }
 
 // less is sort.Float64s's order: NaN before every number, -0 == +0.
 func less(a, b float64) bool { return a < b || (a != a && b == b) }

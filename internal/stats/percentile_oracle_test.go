@@ -46,6 +46,9 @@ func samePercentile(got, want float64) bool {
 	return math.Float64bits(got) == math.Float64bits(want)
 }
 
+// percentileClasses are the input classes percentileInput knows.
+var percentileClasses = []string{"random", "ties", "all-equal", "sorted", "reverse", "organ-pipe", "nan", "inf", "signed-zero"}
+
 // percentileInput draws one oracle input of class c and length n.
 func percentileInput(rng *RNG, c string, n int) []float64 {
 	xs := make([]float64, n)
@@ -98,7 +101,7 @@ func percentileInput(rng *RNG, c string, n int) []float64 {
 // extreme or an interesting outcome stops occurring.
 func TestPercentileMatchesSortOracle(t *testing.T) {
 	const inputs = 10000
-	classes := []string{"random", "ties", "all-equal", "sorted", "reverse", "organ-pipe", "nan", "inf", "signed-zero"}
+	classes := percentileClasses
 	seen := map[string]int{}
 	rng := NewRNG(20)
 	for in := 0; in < inputs; in++ {
@@ -151,4 +154,108 @@ func TestPercentileMatchesSortOracle(t *testing.T) {
 			t.Errorf("generator never produced %s", k)
 		}
 	}
+}
+
+// TestPercentileOfSortedMatchesSortOracle requires the two-run
+// selection to agree with the copy-and-sort reference over the union
+// of its runs, as a fork's report merges its checkpoint's ranked
+// prefix with its own sorted tail. Each seeded input of every class is
+// split into a prefix and a tail, both sorted; the split is empty, one
+// value or all values on either side as often as it is random, so
+// ties straddle it in the tied classes. Coverage counters fail the
+// test if a kind of split or outcome stops occurring.
+func TestPercentileOfSortedMatchesSortOracle(t *testing.T) {
+	const inputs = 10000
+	seen := map[string]int{}
+	rng := NewRNG(23)
+	for in := 0; in < inputs; in++ {
+		c := percentileClasses[in%len(percentileClasses)]
+		var n int
+		switch in % 4 {
+		case 0:
+			n = 1 + rng.Intn(16)
+		case 1, 2:
+			n = 17 + rng.Intn(184)
+		default:
+			n = 201 + rng.Intn(1800)
+		}
+		xs := percentileInput(rng, c, n)
+		var k int
+		switch in % 7 {
+		case 0:
+			k = 0
+		case 1:
+			k = n
+		case 2:
+			k = min(1, n)
+		case 3:
+			k = max(n-1, 0)
+		default:
+			k = rng.Intn(n + 1)
+		}
+		a := append([]float64(nil), xs[:k]...)
+		b := append([]float64(nil), xs[k:]...)
+		sort.Float64s(a)
+		sort.Float64s(b)
+		seen["class "+c]++
+		for _, run := range []struct {
+			side string
+			s    []float64
+		}{{"prefix", a}, {"tail", b}} {
+			switch len(run.s) {
+			case 0:
+				seen["empty "+run.side]++
+			case 1:
+				seen["one-value "+run.side]++
+			}
+		}
+		if sharedValue(a, b) {
+			seen["tie across the split"]++
+		}
+		for _, p := range []float64{0, 5, 50, 95, 99, 100, rng.Float64() * 100} {
+			want := percentileRef(xs, p)
+			got := PercentileOfSorted(a, b, p)
+			if !samePercentile(got, want) {
+				t.Fatalf("input %d (%s, %d+%d values): P%g = %v, reference %v", in, c, len(a), len(b), p, got, want)
+			}
+			switch {
+			case math.IsNaN(want):
+				seen["NaN result"]++
+			case math.IsInf(want, 0):
+				seen["infinite result"]++
+			case want == 0 && math.Float64bits(got) != math.Float64bits(want):
+				seen["zeros of opposite sign"]++
+			}
+		}
+	}
+	if got := PercentileOfSorted(nil, nil, 50); got != 0 {
+		t.Errorf("P50 of two empty runs = %v, want 0", got)
+	}
+	t.Logf("coverage: %v", seen)
+	want := []string{"empty prefix", "empty tail", "one-value prefix", "one-value tail",
+		"tie across the split", "NaN result", "infinite result", "zeros of opposite sign"}
+	for _, c := range percentileClasses {
+		want = append(want, "class "+c)
+	}
+	for _, k := range want {
+		if seen[k] == 0 {
+			t.Errorf("generator never produced %s", k)
+		}
+	}
+}
+
+// sharedValue reports whether two sorted runs hold a value in common
+// under sort.Float64s's order.
+func sharedValue(a, b []float64) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case less(a[i], b[j]):
+			i++
+		case less(b[j], a[i]):
+			j++
+		default:
+			return true
+		}
+	}
+	return false
 }
