@@ -2,10 +2,13 @@
 // resulting report.
 //
 // The workload is either synthetic (default) or an SWF trace given with
-// -swf. The machine, policy and memory model are set with flags:
+// -swf. The machine, policy, memory model, scenario and failure
+// injection are set with the run flags it shares with dmserve
+// (internal/config):
 //
 //	dmsched -policy memaware -local 64 -pool 4096 -model linear:0.5
 //	dmsched -swf trace.swf -node-cores 32 -policy easy-oblivious
+//	dmsched -mtbf 2000000 -repair 7200 -failure-seed 3
 //
 // Beyond the legacy policy names, -policy accepts a composable policy
 // spec, and -progress streams live simulation state to stderr while the
@@ -37,7 +40,8 @@
 // the run, writes a durable versioned checkpoint file (atomic
 // temp+rename), prints the partial report, and exits with status 3.
 // -ckpt-load resumes such a file and completes the run — bit-identical
-// to the uninterrupted run:
+// to the uninterrupted run. The checkpoint carries the run's
+// description, so -ckpt-load rejects every run flag but -v:
 //
 //	dmsched -jobs 50000 -ckpt-save run.dmckpt     # ^C to interrupt
 //	dmsched -ckpt-load run.dmckpt                 # finish the run
@@ -68,12 +72,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -82,8 +83,8 @@ import (
 	"dismem/internal/config"
 	"dismem/internal/profiling"
 	"dismem/internal/report"
+	"dismem/internal/serve"
 	"dismem/internal/telemetry"
-	"dismem/internal/workload"
 )
 
 // exitInterrupted is the distinct status for a resumable interruption
@@ -91,37 +92,20 @@ import (
 const exitInterrupted = 3
 
 func main() {
+	run := config.Register(flag.CommandLine)
 	var (
-		policy    = flag.String("policy", "memaware", `scheduling policy: a name (`+strings.Join(dismem.Policies(), ", ")+`) or a spec, e.g. "order=sjf placer=memaware cap=3"`)
-		scenFlag  = flag.String("scenario", "", `scenario timeline, e.g. "at=3600 down rack=2; at=7200 up rack=2; from=0 period=86400 amp=0.5 diurnal"`)
 		progress  = flag.Duration("progress", 0, "print live progress to stderr every given span of simulated time (e.g. 6h; 0 = off)")
-		model     = flag.String("model", "linear:0.5", "memory model spec (linear:b | step:b0,b | bandwidth:b,g)")
-		topology  = flag.String("topology", "rack", "pool topology: none | rack | global")
-		racks     = flag.Int("racks", 16, "racks")
-		nodes     = flag.Int("nodes", 16, "nodes per rack")
-		cores     = flag.Int("cores", 32, "cores per node")
-		localGiB  = flag.Int64("local", 64, "local DRAM per node (GiB)")
-		poolGiB   = flag.Int64("pool", 4096, "pool capacity (GiB; per rack, or total for -topology global)")
-		fabric    = flag.Float64("fabric", 64, "fabric bandwidth per pool (GiB/s)")
-		jobs      = flag.Int("jobs", 5000, "synthetic workload size")
-		seed      = flag.Uint64("seed", 1, "synthetic workload seed")
-		swf       = flag.String("swf", "", "SWF trace file (overrides synthetic workload)")
 		swfStream = flag.Bool("swf-stream", false, "stream the -swf trace instead of loading it: memory stays bounded by live simulation state, not trace length (requires a submit-sorted trace; implies bounded metrics recording, so report percentiles are streaming estimates: exact up to 1024 jobs, P² beyond)")
 		recordOut = flag.String("records-out", "", "stream per-job records to this file (.csv for CSV, else JSONL) with bounded metrics recording; report percentiles become streaming estimates (exact up to 1024 jobs, P² beyond)")
 		cpAt      = flag.Int64("checkpoint-at", 0, "virtual time (seconds) to checkpoint the run at: the run is frozen there, completed, and a forked future is replayed from the same instant and printed after the original report (0 = off; not with -swf-stream, whose source cannot fork)")
 		forkScen  = flag.String("fork-scenario", "", `scenario timeline for the forked future (requires -checkpoint-at): replaces the interventions remaining after the checkpoint, e.g. "at=50000 down rack=2; at=60000 up rack=2"`)
-		swfCores  = flag.Int("node-cores", 0, "SWF import: processors per node (0 = processors are nodes)")
-		strict    = flag.Bool("strict-kill", false, "kill at the raw user estimate (no dilation extension)")
 		ckptSave  = flag.String("ckpt-save", "", "on SIGINT/SIGTERM, freeze the run, write a durable checkpoint to this file, and exit with status 3 (resume with -ckpt-load)")
-		ckptLoad  = flag.String("ckpt-load", "", "resume a run from a checkpoint file written by -ckpt-save; workload, machine and policy flags are ignored (the checkpoint carries them)")
+		ckptLoad  = flag.String("ckpt-load", "", "resume a run from a checkpoint file written by -ckpt-save; the checkpoint carries the workload, machine, policy, model, scenario and failures, so those flags are rejected")
 		seriesOut = flag.String("series-out", "", "stream the utilization series to this file (.csv for CSV, else JSONL), one row per sampling tick; composes with -ckpt-save/-ckpt-load (the resumed series is the clean run's suffix)")
 		traceOut  = flag.String("trace-out", "", "stream the per-job lifecycle trace to this file; JSONL composes with -ckpt-save/-ckpt-load (the resumed trace is the clean run's suffix)")
 		traceFmt  = flag.String("trace-format", "jsonl", "trace encoding for -trace-out: jsonl | perfetto (Chrome trace-event JSON for Perfetto / chrome://tracing)")
 		seriesEv  = flag.Duration("series-every", 0, "sampling period for -series-out and -metrics-addr in simulated time (default 1h; on -ckpt-load, 0 keeps the checkpointed period and phase)")
 		metrAddr  = flag.String("metrics-addr", "", "serve GET /metrics (Prometheus text format) with live run state on this address while the run is in flight")
-		verbose   = flag.Bool("v", false, "also print workload summary")
-		cfgPath   = flag.String("config", "", "JSON experiment config (overrides the flags above)")
-		writeCfg  = flag.Bool("write-config", false, "print a starter config JSON and exit")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write an allocation profile (pprof allocs: cumulative sites plus post-GC in-use heap) to this file at exit")
 	)
@@ -134,13 +118,6 @@ func main() {
 	stopProfiling = stopProf
 	defer flushProfiles()
 
-	if *writeCfg {
-		def := config.Default()
-		if err := def.Write(os.Stdout); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
 	if *forkScen != "" && *cpAt <= 0 {
 		fatalf("-fork-scenario requires -checkpoint-at")
 	}
@@ -166,14 +143,17 @@ func main() {
 		// -series-out IS allowed with -ckpt-save: the sampling tick
 		// chain is checkpointed, so an interrupted series file plus the
 		// resumed run's file concatenate to the uninterrupted series.
-		if *cfgPath != "" || *cpAt > 0 {
-			fatalf("-ckpt-save cannot be combined with -config or -checkpoint-at")
+		if *cpAt > 0 {
+			fatalf("-ckpt-save cannot be combined with -checkpoint-at")
 		}
 	}
 	tele := newTelemetry(*progress, *seriesEv, *seriesOut, *metrAddr, *traceOut, *traceFmt)
 	if *ckptLoad != "" {
-		if *swf != "" || *scenFlag != "" || *cfgPath != "" || *cpAt > 0 || *swfStream || *recordOut != "" {
+		if *cpAt > 0 || *swfStream || *recordOut != "" {
 			fatalf("-ckpt-load resumes a self-contained run; it only combines with -progress, -series-out, -series-every, -metrics-addr, -trace-out, -trace-format, -v and -ckpt-save")
+		}
+		if given := run.Given(); len(given) > 0 {
+			fatalf("-ckpt-load resumes a self-contained run: the checkpoint carries its workload, machine, policy, model, scenario and failures, so -%s cannot apply", strings.Join(given, ", -"))
 		}
 		runFromCheckpoint(*ckptLoad, *ckptSave, tele)
 		return
@@ -197,88 +177,30 @@ func main() {
 			fatalf("-fork-scenario must not modulate arrivals (surge/diurnal warp submit times before a run starts and cannot be re-applied at a fork)")
 		}
 	}
-	if *cfgPath != "" {
-		if *scenFlag != "" {
-			fatalf("-scenario cannot be combined with -config")
-		}
-		if *cpAt > 0 {
-			fatalf("-checkpoint-at cannot be combined with -config")
-		}
-		runFromConfig(*cfgPath, *verbose, tele)
-		return
+	opts, err := run.Options()
+	if err != nil {
+		fatalf("%v", err)
 	}
-
-	mc := dismem.DefaultMachine()
-	mc.Racks, mc.NodesPerRack, mc.CoresPerNode = *racks, *nodes, *cores
-	mc.LocalMemMiB = *localGiB * 1024
-	mc.PoolMiB = *poolGiB * 1024
-	mc.FabricGiBps = *fabric
-	switch *topology {
-	case "none":
-		mc.Topology = dismem.TopologyNone
-		mc.PoolMiB = 0
-	case "rack":
-		mc.Topology = dismem.TopologyRack
-	case "global":
-		mc.Topology = dismem.TopologyGlobal
-	default:
-		fatalf("unknown topology %q", *topology)
-	}
-
-	var wl *dismem.Workload
-	var src dismem.Source
-	if *swf != "" {
-		f, err := os.Open(*swf)
+	if *swfStream {
+		if run.SWF == "" {
+			fatalf("-swf-stream requires -swf")
+		}
+		f, err := os.Open(run.SWF)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		defer f.Close()
-		swfOpts := workload.SWFReadOptions{
-			NodeCores:         *swfCores,
-			DefaultMemPerNode: mc.LocalMemMiB / 2,
-		}
-		if *swfStream {
-			// Bounded-memory replay: jobs decode lazily as the clock
-			// reaches them; nothing is materialised (so no upfront
-			// skipped-record count and no -v summary).
-			src = dismem.SWFSource(f, swfOpts)
-		} else {
-			var skipped int
-			wl, skipped, err = workload.ReadSWF(f, swfOpts)
-			if err != nil {
-				fatalf("reading %s: %v", *swf, err)
-			}
-			if skipped > 0 {
-				fmt.Fprintf(os.Stderr, "note: skipped %d unusable SWF records\n", skipped)
-			}
-		}
-	} else {
-		if *swfStream {
-			fatalf("-swf-stream requires -swf")
-		}
-		var err error
-		wl, err = dismem.GenerateWorkload(dismem.DefaultGen(*jobs, *seed, mc))
-		if err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if *verbose {
-		if wl == nil {
+		// Bounded-memory replay: jobs decode lazily as the clock
+		// reaches them; nothing is materialised (so no upfront
+		// skipped-record count and no -v summary).
+		opts.Source = dismem.SWFSource(f, run.SWFOptions(opts.Machine))
+		if run.Verbose {
 			fmt.Fprintln(os.Stderr, "note: -v workload summary unavailable when streaming (-swf-stream)")
-		} else {
-			fmt.Print(workload.Summarize(wl, mc.LocalMemMiB))
-			fmt.Println()
 		}
+	} else if opts.Workload, err = run.Workload(opts.Machine, os.Stdout, os.Stderr); err != nil {
+		fatalf("%v", err)
 	}
 
-	opts := dismem.Options{
-		Machine:    mc,
-		Policy:     *policy,
-		Model:      *model,
-		Workload:   wl,
-		Source:     src,
-		StrictKill: *strict,
-	}
 	if *recordOut != "" {
 		f, err := os.Create(*recordOut)
 		if err != nil {
@@ -300,22 +222,15 @@ func main() {
 		// whole run flat-memory.
 		opts.RecordSink = dismem.DiscardRecords
 	}
-	if *scenFlag != "" {
-		sc, err := dismem.ParseScenario(*scenFlag)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		opts.Scenario = sc
-	}
 	if *cpAt > 0 {
-		runCheckpointed(*policy, opts, tele, *cpAt, forkSc, *recordOut, *seriesOut, *traceOut, *traceFmt)
+		runCheckpointed(run.Policy, opts, tele, *cpAt, forkSc, *recordOut, *seriesOut, *traceOut, *traceFmt)
 		return
 	}
 	h, err := dismem.New(tele.apply(opts))
 	if err != nil {
 		fatalf("%v", err)
 	}
-	driveAndReport(h, *policy, *ckptSave)
+	driveAndReport(h, run.Policy, *ckptSave)
 }
 
 // driveAndReport advances the simulation to completion from the main
@@ -513,7 +428,11 @@ func newTelemetry(progress, seriesEv time.Duration, seriesOut, metrAddr, traceOu
 	}
 	if metrAddr != "" {
 		g := telemetry.NewGaugeSet()
-		startMetricsServer(metrAddr, g)
+		bound, err := telemetry.ListenAndServe(metrAddr, g)
+		if err != nil {
+			fatalf("-metrics-addr: %v", err)
+		}
+		fmt.Fprintf(os.Stderr, "dmsched: serving http://%s/metrics\n", bound)
 		obs = append(obs, &gaugeObserver{g: g})
 	}
 	switch len(obs) {
@@ -586,45 +505,7 @@ type gaugeObserver struct {
 }
 
 // OnSample implements dismem.Observer.
-func (o *gaugeObserver) OnSample(s dismem.Sample) {
-	g := o.g
-	g.Set("dismem_now_seconds", "virtual clock of the run", nil, float64(s.Now))
-	g.Set("dismem_queue_depth", "jobs waiting in the queue", nil, float64(s.QueueDepth))
-	g.Set("dismem_running_jobs", "jobs running on the machine", nil, float64(s.Running))
-	g.Set("dismem_done_jobs", "jobs finished", nil, float64(s.Done))
-	g.Set("dismem_events_total", "DES events fired", nil, float64(s.Events))
-	g.Set("dismem_busy_nodes", "nodes running at least one job", nil, float64(s.Usage.BusyNodes))
-	g.Set("dismem_used_local_mib", "node-local memory in use", nil, float64(s.Usage.UsedLocal))
-	g.Set("dismem_used_pool_mib", "pooled memory in use", nil, float64(s.Usage.UsedPool))
-	g.Set("dismem_max_pool_util", "highest per-pool utilization", nil, s.Usage.MaxPoolUtil)
-	g.Set("dismem_max_congestion", "highest per-pool fabric congestion ratio", nil, s.Usage.MaxCongest)
-	for _, p := range s.Pools {
-		lbl := map[string]string{"pool": strconv.Itoa(p.ID)}
-		g.Set("dismem_pool_used_bytes", "pooled memory in use, per pool", lbl, float64(p.UsedMiB)*1024*1024)
-		g.Set("dismem_pool_capacity_bytes", "pool capacity, per pool", lbl, float64(p.CapacityMiB)*1024*1024)
-	}
-	for rk, free := range s.RackFree {
-		g.Set("dismem_rack_free_nodes", "available (up, idle) nodes per rack", map[string]string{"rack": strconv.Itoa(rk)}, float64(free))
-	}
-}
-
-// startMetricsServer serves GET /metrics on addr for the lifetime of
-// the process, printing the bound address to stderr (so ":0" is
-// usable in scripts and tests).
-func startMetricsServer(addr string, sources ...telemetry.Source) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatalf("-metrics-addr: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "dmsched: serving http://%s/metrics\n", ln.Addr())
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", telemetry.Handler(sources...))
-	go func() {
-		if err := (&http.Server{Handler: mux}).Serve(ln); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintf(os.Stderr, "dmsched: metrics server: %v\n", err)
-		}
-	}()
-}
+func (o *gaugeObserver) OnSample(s dismem.Sample) { serve.MirrorSample(o.g, s) }
 
 // fileSeriesSink closes the underlying file when the engine closes the
 // sink (the engine closes it on every terminal path, including an
@@ -696,61 +577,6 @@ func (progressPrinter) OnSample(s dismem.Sample) {
 		"t=%7.1fh  queued %4d  running %4d  done %6d  busy %3d nodes  pool %5.1f%%  %d events\n",
 		float64(s.Now)/3600, s.QueueDepth, s.Running, s.Done,
 		s.Usage.BusyNodes, 100*s.Usage.MaxPoolUtil, s.Events)
-}
-
-// runFromConfig executes a JSON-configured experiment.
-func runFromConfig(path string, verbose bool, tele *liveTelemetry) {
-	exp, err := config.Load(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	mc, err := exp.MachineConfig()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var wl *dismem.Workload
-	if exp.Workload.SWF != "" {
-		f, err := os.Open(exp.Workload.SWF)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		wl, _, err = workload.ReadSWF(f, workload.SWFReadOptions{
-			NodeCores:         exp.Workload.NodeCores,
-			DefaultMemPerNode: mc.LocalMemMiB / 2,
-		})
-		if err != nil {
-			fatalf("reading %s: %v", exp.Workload.SWF, err)
-		}
-	} else {
-		gen := dismem.DefaultGen(exp.Workload.Jobs, exp.Workload.Seed, mc)
-		if exp.Workload.EstimateAccuracy > 0 {
-			gen.EstimateAccuracy = exp.Workload.EstimateAccuracy
-		}
-		if exp.Workload.LargeMemFraction > 0 {
-			gen.LargeMemFraction = exp.Workload.LargeMemFraction
-		}
-		wl, err = dismem.GenerateWorkload(gen)
-		if err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if verbose {
-		fmt.Print(workload.Summarize(wl, mc.LocalMemMiB))
-		fmt.Println()
-	}
-	h, err := dismem.New(tele.apply(dismem.Options{
-		Machine:    mc,
-		Policy:     exp.Policy,
-		Model:      exp.Model,
-		Workload:   wl,
-		StrictKill: exp.StrictKill,
-		Failures:   exp.FailureConfig(),
-	}))
-	if err != nil {
-		fatalf("%v", err)
-	}
-	driveAndReport(h, exp.Policy, "")
 }
 
 func printReport(policy string, res *dismem.Result) {

@@ -2,7 +2,9 @@
 // drives one baseline run, maintains a rolling ring of durable
 // checkpoints in -ckpt-dir, and answers HTTP what-if queries by forking
 // the nearest checkpoint at or before the requested instant
-// (internal/serve, DESIGN.md §10).
+// (internal/serve, DESIGN.md §10). The baseline is described by the
+// run flags dmserve shares with dmsched (internal/config): policy,
+// memory model, machine, workload, scenario and failure injection.
 //
 //	dmserve -addr :8080 -jobs 20000 -seed 7 -ckpt-dir /var/lib/dmserve \
 //	        -ckpt-every 21600 -ckpt-keep 16
@@ -29,8 +31,8 @@
 // a final ring checkpoint, and exits with status 3 (the resumable-
 // interruption convention shared with dmsched -ckpt-save). Restarting
 // with the same -ckpt-dir resumes the baseline bit-identically from the
-// newest ring checkpoint; workload, machine and policy flags are then
-// ignored (the checkpoint carries them).
+// newest ring checkpoint; the run flags are then ignored (the
+// checkpoint carries the run).
 package main
 
 import (
@@ -41,14 +43,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"dismem"
+	"dismem/internal/config"
 	"dismem/internal/runstore"
 	"dismem/internal/serve"
-	"dismem/internal/workload"
 )
 
 // exitInterrupted is the distinct status for a resumable interruption:
@@ -61,119 +61,38 @@ const exitInterrupted = 3
 const readHeaderTimeout = 10 * time.Second
 
 func main() {
+	run := config.Register(flag.CommandLine)
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		policy    = flag.String("policy", "memaware", `scheduling policy: a name (`+strings.Join(dismem.Policies(), ", ")+`) or a spec, e.g. "order=sjf backfill=easy placer=memaware"`)
-		scenFlag  = flag.String("scenario", "", `baseline scenario timeline, e.g. "at=3600 down rack=2; at=7200 up rack=2"`)
-		model     = flag.String("model", "linear:0.5", "memory model spec (linear:b | step:b0,b | bandwidth:b,g)")
-		topology  = flag.String("topology", "rack", "pool topology: none | rack | global")
-		racks     = flag.Int("racks", 16, "racks")
-		nodes     = flag.Int("nodes", 16, "nodes per rack")
-		cores     = flag.Int("cores", 32, "cores per node")
-		localGiB  = flag.Int64("local", 64, "local DRAM per node (GiB)")
-		poolGiB   = flag.Int64("pool", 4096, "pool capacity (GiB; per rack, or total for -topology global)")
-		fabric    = flag.Float64("fabric", 64, "fabric bandwidth per pool (GiB/s)")
-		jobs      = flag.Int("jobs", 5000, "synthetic workload size")
-		seed      = flag.Uint64("seed", 1, "synthetic workload seed")
-		swf       = flag.String("swf", "", "SWF trace file (overrides synthetic workload; loaded, not streamed — a checkpointable source is required)")
-		swfCores  = flag.Int("node-cores", 0, "SWF import: processors per node (0 = processors are nodes)")
-		strict    = flag.Bool("strict-kill", false, "kill at the raw user estimate (no dilation extension)")
-		mtbf      = flag.Int64("mtbf", 0, "failure injection: mean time between failures per node (seconds; 0 = off). Required for reseed_failures what-if queries")
-		repair    = flag.Int64("repair", 7200, "failure injection: node repair time (seconds)")
-		failSeed  = flag.Uint64("failure-seed", 1, "failure injection RNG seed")
 		ckptDir   = flag.String("ckpt-dir", "", "checkpoint ring directory (required); restart with the same directory to resume")
 		ckptEvery = flag.Int64("ckpt-every", 21600, "ring checkpoint period in simulated seconds")
 		ckptKeep  = flag.Int("ckpt-keep", 16, "ring retention: delete the oldest checkpoint beyond this many (0 = keep all)")
 		workers   = flag.Int("workers", 0, "max concurrent what-if forks (0 = GOMAXPROCS)")
 		traceRing = flag.Int("trace-ring", 0, "keep the newest N baseline lifecycle-trace events in memory and serve them on GET /v1/trace (0 = tracing off)")
 		storeDir  = flag.String("store", "", "archive the drained baseline's report to a run store in this directory (query with dmstore)")
-		verbose   = flag.Bool("v", false, "also print workload summary")
 	)
 	flag.Parse()
 
 	if *ckptDir == "" {
 		fatalf("-ckpt-dir is required (the ring of durable checkpoints is what the service serves from)")
 	}
-
-	mc := dismem.DefaultMachine()
-	mc.Racks, mc.NodesPerRack, mc.CoresPerNode = *racks, *nodes, *cores
-	mc.LocalMemMiB = *localGiB * 1024
-	mc.PoolMiB = *poolGiB * 1024
-	mc.FabricGiBps = *fabric
-	switch *topology {
-	case "none":
-		mc.Topology = dismem.TopologyNone
-		mc.PoolMiB = 0
-	case "rack":
-		mc.Topology = dismem.TopologyRack
-	case "global":
-		mc.Topology = dismem.TopologyGlobal
-	default:
-		fatalf("unknown topology %q", *topology)
+	opts, err := run.Options()
+	if err != nil {
+		fatalf("%v", err)
 	}
-
-	var wl *dismem.Workload
-	if *swf != "" {
-		f, err := os.Open(*swf)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		var skipped int
-		wl, skipped, err = workload.ReadSWF(f, workload.SWFReadOptions{
-			NodeCores:         *swfCores,
-			DefaultMemPerNode: mc.LocalMemMiB / 2,
-		})
-		f.Close()
-		if err != nil {
-			fatalf("reading %s: %v", *swf, err)
-		}
-		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "note: skipped %d unusable SWF records\n", skipped)
-		}
-	} else {
-		var err error
-		wl, err = dismem.GenerateWorkload(dismem.DefaultGen(*jobs, *seed, mc))
-		if err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if *verbose {
-		fmt.Print(workload.Summarize(wl, mc.LocalMemMiB))
-		fmt.Println()
-	}
-
-	var sc *dismem.Scenario
-	if *scenFlag != "" {
-		var err error
-		sc, err = dismem.ParseScenario(*scenFlag)
-		if err != nil {
-			fatalf("-scenario: %v", err)
-		}
-	}
-	var failures *dismem.FailureConfig
-	if *mtbf > 0 {
-		failures = &dismem.FailureConfig{MTBFPerNodeSec: *mtbf, RepairSec: *repair, Seed: *failSeed}
+	if opts.Workload, err = run.Workload(opts.Machine, os.Stdout, os.Stderr); err != nil {
+		fatalf("%v", err)
 	}
 	var store *runstore.Store
 	if *storeDir != "" {
-		var err error
-		store, err = runstore.Open(*storeDir)
-		if err != nil {
+		if store, err = runstore.Open(*storeDir); err != nil {
 			fatalf("%v", err)
 		}
 		defer store.Close()
 	}
 
 	s, err := serve.New(serve.Config{
-		Options: dismem.Options{
-			Machine:    mc,
-			Policy:     *policy,
-			Model:      *model,
-			Workload:   wl,
-			Scenario:   sc,
-			Failures:   failures,
-			StrictKill: *strict,
-		},
+		Options:   opts,
 		CkptDir:   *ckptDir,
 		CkptEvery: *ckptEvery,
 		CkptKeep:  *ckptKeep,
@@ -196,7 +115,7 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "dmserve: listening on %s (policy %s, checkpoint every %ds keep %d in %s)\n",
-		ln.Addr(), *policy, *ckptEvery, *ckptKeep, *ckptDir)
+		ln.Addr(), run.Policy, *ckptEvery, *ckptKeep, *ckptDir)
 
 	// The drive loop owns the baseline on the main goroutine; signals
 	// cancel between chunks, at a clean event boundary.

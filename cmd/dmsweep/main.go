@@ -30,8 +30,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -95,7 +93,7 @@ func main() {
 	var unitsDone atomic.Int64
 	o.UnitDone = func() { unitsDone.Add(1) }
 	if *metrAddr != "" {
-		startMetricsServer(*metrAddr, telemetry.SourceFunc(func() []telemetry.Metric {
+		bound, err := telemetry.ListenAndServe(*metrAddr, telemetry.SourceFunc(func() []telemetry.Metric {
 			return []telemetry.Metric{{
 				Name:  "dmsweep_units_done_total",
 				Help:  "simulation units completed (including units served from the run store on -resume)",
@@ -103,6 +101,11 @@ func main() {
 				Value: float64(unitsDone.Load()),
 			}}
 		}))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dmsweep: -metrics-addr:", err)
+			os.Exit(2)
+		}
+		fmt.Fprintf(os.Stderr, "dmsweep: serving http://%s/metrics\n", bound)
 	}
 
 	var tables []*sweep.Table
@@ -156,23 +159,4 @@ func flushProfiles() {
 		fmt.Fprintln(os.Stderr, "dmsweep:", err)
 	}
 	stopProfiling = nil
-}
-
-// startMetricsServer serves GET /metrics on addr for the lifetime of
-// the process, printing the bound address to stderr (so ":0" is
-// usable in scripts and tests).
-func startMetricsServer(addr string, sources ...telemetry.Source) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dmsweep: -metrics-addr:", err)
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "dmsweep: serving http://%s/metrics\n", ln.Addr())
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", telemetry.Handler(sources...))
-	go func() {
-		if err := (&http.Server{Handler: mux}).Serve(ln); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintf(os.Stderr, "dmsweep: metrics server: %v\n", err)
-		}
-	}()
 }

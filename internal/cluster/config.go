@@ -35,10 +35,11 @@ func (t Topology) String() string {
 	}
 }
 
-// ParseTopology converts a config string to a Topology.
+// ParseTopology converts a topology name (String's inverse) to a
+// Topology.
 func ParseTopology(s string) (Topology, error) {
 	switch s {
-	case "none", "":
+	case "none":
 		return TopologyNone, nil
 	case "rack":
 		return TopologyRack, nil

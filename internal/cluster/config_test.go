@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -94,16 +95,17 @@ func TestConfigTotals(t *testing.T) {
 
 func TestParseTopology(t *testing.T) {
 	for in, want := range map[string]Topology{
-		"none": TopologyNone, "": TopologyNone,
-		"rack": TopologyRack, "global": TopologyGlobal,
+		"none": TopologyNone, "rack": TopologyRack, "global": TopologyGlobal,
 	} {
 		got, err := ParseTopology(in)
 		if err != nil || got != want {
 			t.Errorf("ParseTopology(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseTopology("mesh"); err == nil || !strings.Contains(err.Error(), "mesh") {
-		t.Fatalf("unknown topology accepted: %v", err)
+	for _, bad := range []string{"mesh", ""} {
+		if _, err := ParseTopology(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("ParseTopology(%q) = %v; want an error naming it", bad, err)
+		}
 	}
 }
 

@@ -1,184 +1,142 @@
-// Package config defines the JSON experiment configuration consumed by
-// cmd/dmsched (-config), bundling machine shape, workload source,
-// policy, memory model and failure injection into one reviewable file.
+// Package config is the command line's one description of a run:
+// it registers the flags that name a simulation — policy, memory
+// model, machine, workload, scenario and failure injection — once for
+// every tool that starts one (dmsched, dmserve), and turns them into
+// dismem.Options and the workload they describe.
 package config
 
 import (
-	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
+	"dismem"
 	"dismem/internal/cluster"
-	"dismem/internal/memmodel"
-	"dismem/internal/sim"
+	"dismem/internal/workload"
 )
 
-// Experiment is the root configuration document. Memory sizes are in
-// GiB (the operator-facing unit); they are converted to the simulator's
-// MiB internally.
-type Experiment struct {
-	// Name labels the run in output.
-	Name string `json:"name"`
+// Flags holds the parsed run flags. Register defines them.
+type Flags struct {
+	Policy, Scenario, Model, Topology string
+	Racks, Nodes, Cores               int
+	LocalGiB, PoolGiB                 int64
+	Fabric                            float64
+	Jobs                              int
+	Seed                              uint64
+	SWF                               string
+	NodeCores                         int
+	StrictKill, Verbose               bool
+	MTBF, Repair                      int64
+	FailureSeed                       uint64
 
-	Machine  Machine  `json:"machine"`
-	Workload Workload `json:"workload"`
-
-	// Policy is a scheduling policy name or spec string.
-	Policy string `json:"policy"`
-	// Model is a memory-model spec, e.g. "linear:0.5".
-	Model string `json:"model"`
-	// StrictKill kills jobs at the raw user estimate even when the
-	// system dilated them.
-	StrictKill bool `json:"strict_kill,omitempty"`
-
-	// Failures optionally injects node failures.
-	Failures *Failures `json:"failures,omitempty"`
+	own, fs *flag.FlagSet
 }
 
-// Machine describes the simulated hardware.
-type Machine struct {
-	Racks        int     `json:"racks"`
-	NodesPerRack int     `json:"nodes_per_rack"`
-	CoresPerNode int     `json:"cores_per_node"`
-	LocalGiB     int64   `json:"local_gib"`
-	Topology     string  `json:"topology"` // none | rack | global
-	PoolGiB      int64   `json:"pool_gib,omitempty"`
-	FabricGiBps  float64 `json:"fabric_gibps,omitempty"`
-	TrafficGiBps float64 `json:"traffic_gibps_per_node,omitempty"`
+// Register defines the run flags on fs and returns their values,
+// which fs.Parse fills in.
+func Register(fs *flag.FlagSet) *Flags {
+	f := &Flags{own: flag.NewFlagSet("run", flag.ContinueOnError), fs: fs}
+	o := f.own
+	o.StringVar(&f.Policy, "policy", "memaware", `scheduling policy: a name (`+strings.Join(dismem.Policies(), ", ")+`) or a spec, e.g. "order=sjf placer=memaware cap=3"`)
+	o.StringVar(&f.Scenario, "scenario", "", `scenario timeline, e.g. "at=3600 down rack=2; at=7200 up rack=2; from=0 period=86400 amp=0.5 diurnal"`)
+	o.StringVar(&f.Model, "model", "linear:0.5", "memory model spec (linear:b | step:b0,b | bandwidth:b,g)")
+	o.StringVar(&f.Topology, "topology", "rack", "pool topology: none | rack | global")
+	o.IntVar(&f.Racks, "racks", 16, "racks")
+	o.IntVar(&f.Nodes, "nodes", 16, "nodes per rack")
+	o.IntVar(&f.Cores, "cores", 32, "cores per node")
+	o.Int64Var(&f.LocalGiB, "local", 64, "local DRAM per node (GiB)")
+	o.Int64Var(&f.PoolGiB, "pool", 4096, "pool capacity (GiB; per rack, or total for -topology global)")
+	o.Float64Var(&f.Fabric, "fabric", 64, "fabric bandwidth per pool (GiB/s)")
+	o.IntVar(&f.Jobs, "jobs", 5000, "synthetic workload size")
+	o.Uint64Var(&f.Seed, "seed", 1, "synthetic workload seed")
+	o.StringVar(&f.SWF, "swf", "", "SWF trace file (overrides synthetic workload)")
+	o.IntVar(&f.NodeCores, "node-cores", 0, "SWF import: processors per node (0 = processors are nodes)")
+	o.BoolVar(&f.StrictKill, "strict-kill", false, "kill at the raw user estimate (no dilation extension)")
+	o.BoolVar(&f.Verbose, "v", false, "also print workload summary")
+	o.Int64Var(&f.MTBF, "mtbf", 0, "failure injection: mean time between failures per node (seconds; 0 = off; a dmserve what-if that reseeds failures needs it)")
+	o.Int64Var(&f.Repair, "repair", 7200, "failure injection: node repair time (seconds)")
+	o.Uint64Var(&f.FailureSeed, "failure-seed", 1, "failure injection RNG seed")
+	o.VisitAll(func(fl *flag.Flag) { fs.Var(fl.Value, fl.Name, fl.Usage) })
+	return f
 }
 
-// Workload selects the trace: a synthetic generator or an SWF file.
-type Workload struct {
-	// Jobs and Seed drive the synthetic generator (used when SWF is
-	// empty).
-	Jobs int    `json:"jobs,omitempty"`
-	Seed uint64 `json:"seed,omitempty"`
-	// EstimateAccuracy overrides the generator's mean user estimate
-	// accuracy when > 0.
-	EstimateAccuracy float64 `json:"estimate_accuracy,omitempty"`
-	// LargeMemFraction overrides the data-intensive job share when > 0.
-	LargeMemFraction float64 `json:"large_mem_fraction,omitempty"`
-	// SWF is a trace file path; NodeCores converts its processors to
-	// nodes (0 = processors are nodes).
-	SWF       string `json:"swf,omitempty"`
-	NodeCores int    `json:"node_cores,omitempty"`
+// Given returns the names of the run flags other than -v that were set
+// on the command line, in lexical order: the flags a run resumed from
+// a checkpoint, which carries its own description, cannot honour.
+func (f *Flags) Given() []string {
+	var names []string
+	f.fs.Visit(func(fl *flag.Flag) {
+		if fl.Name != "v" && f.own.Lookup(fl.Name) != nil {
+			names = append(names, fl.Name)
+		}
+	})
+	return names
 }
 
-// Failures mirrors sim.FailureConfig in GiB-free units.
-type Failures struct {
-	MTBFPerNodeSec int64  `json:"mtbf_per_node_sec"`
-	RepairSec      int64  `json:"repair_sec"`
-	Seed           uint64 `json:"seed,omitempty"`
-}
-
-// Default returns a runnable starting configuration (the evaluation
-// machine with the memory-aware policy).
-func Default() Experiment {
-	return Experiment{
-		Name: "default",
-		Machine: Machine{
-			Racks: 16, NodesPerRack: 16, CoresPerNode: 32,
-			LocalGiB: 64, Topology: "rack", PoolGiB: 4096,
-			FabricGiBps: 64, TrafficGiBps: 2,
-		},
-		Workload: Workload{Jobs: 5000, Seed: 1},
-		Policy:   "memaware",
-		Model:    "linear:0.5",
-	}
-}
-
-// Read parses an experiment from JSON. Unknown fields are rejected so
-// typos fail loudly instead of silently using defaults.
-func Read(r io.Reader) (*Experiment, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var e Experiment
-	if err := dec.Decode(&e); err != nil {
-		return nil, fmt.Errorf("config: %w", err)
-	}
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	return &e, nil
-}
-
-// Load reads an experiment from a file.
-func Load(path string) (*Experiment, error) {
-	f, err := os.Open(path)
+// Options builds the run the flags describe, all but its workload (see
+// Workload): the machine, policy, model, kill rule, scenario and
+// failure injection.
+func (f *Flags) Options() (dismem.Options, error) {
+	topo, err := cluster.ParseTopology(f.Topology)
 	if err != nil {
-		return nil, fmt.Errorf("config: %w", err)
+		return dismem.Options{}, fmt.Errorf("-topology: %w", err)
 	}
-	defer f.Close()
-	return Read(f)
-}
-
-// Write serialises the experiment as indented JSON.
-func (e *Experiment) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(e)
-}
-
-// Validate checks the document against the simulator's constraints.
-func (e *Experiment) Validate() error {
-	if e.Policy == "" {
-		return fmt.Errorf("config: missing policy")
+	mc := dismem.DefaultMachine()
+	mc.Racks, mc.NodesPerRack, mc.CoresPerNode = f.Racks, f.Nodes, f.Cores
+	mc.LocalMemMiB = f.LocalGiB * 1024
+	mc.Topology = topo
+	mc.PoolMiB = f.PoolGiB * 1024
+	if topo == dismem.TopologyNone {
+		mc.PoolMiB = 0
 	}
-	if e.Model != "" {
-		if _, err := memmodel.Parse(e.Model); err != nil {
-			return err
+	mc.FabricGiBps = f.Fabric
+	o := dismem.Options{Machine: mc, Policy: f.Policy, Model: f.Model, StrictKill: f.StrictKill}
+	if f.Scenario != "" {
+		if o.Scenario, err = dismem.ParseScenario(f.Scenario); err != nil {
+			return dismem.Options{}, fmt.Errorf("-scenario: %w", err)
 		}
 	}
-	mc, err := e.MachineConfig()
-	if err != nil {
-		return err
+	if f.MTBF > 0 {
+		o.Failures = &dismem.FailureConfig{MTBFPerNodeSec: f.MTBF, RepairSec: f.Repair, Seed: f.FailureSeed}
 	}
-	if err := mc.Validate(); err != nil {
-		return err
-	}
-	if e.Workload.SWF == "" && e.Workload.Jobs <= 0 {
-		return fmt.Errorf("config: workload needs jobs > 0 or an swf file")
-	}
-	if acc := e.Workload.EstimateAccuracy; acc < 0 || acc > 1 {
-		return fmt.Errorf("config: estimate accuracy %g outside [0,1]", acc)
-	}
-	if f := e.Failures; f != nil {
-		fc := sim.FailureConfig{MTBFPerNodeSec: f.MTBFPerNodeSec, RepairSec: f.RepairSec, Seed: f.Seed}
-		if err := fc.Validate(); err != nil {
-			return err
+	return o, nil
+}
+
+// SWFOptions is how an -swf trace imports onto machine mc.
+func (f *Flags) SWFOptions(mc dismem.MachineConfig) dismem.SWFReadOptions {
+	return dismem.SWFReadOptions{NodeCores: f.NodeCores, DefaultMemPerNode: mc.LocalMemMiB / 2}
+}
+
+// Workload materialises the workload for machine mc: the -swf trace,
+// with a note on stderr when it skips unusable records, or the
+// synthetic generator's -jobs and -seed. With -v it then prints the
+// workload summary on stdout.
+func (f *Flags) Workload(mc dismem.MachineConfig, stdout, stderr io.Writer) (*dismem.Workload, error) {
+	var wl *dismem.Workload
+	if f.SWF != "" {
+		r, err := os.Open(f.SWF)
+		if err != nil {
+			return nil, err
+		}
+		defer r.Close()
+		var skipped int
+		if wl, skipped, err = workload.ReadSWF(r, f.SWFOptions(mc)); err != nil {
+			return nil, fmt.Errorf("reading %s: %w", f.SWF, err)
+		}
+		if skipped > 0 {
+			fmt.Fprintf(stderr, "note: skipped %d unusable SWF records\n", skipped)
+		}
+	} else {
+		var err error
+		if wl, err = dismem.GenerateWorkload(dismem.DefaultGen(f.Jobs, f.Seed, mc)); err != nil {
+			return nil, err
 		}
 	}
-	return nil
-}
-
-// MachineConfig converts the document's machine section to the
-// simulator's representation.
-func (e *Experiment) MachineConfig() (cluster.Config, error) {
-	topo, err := cluster.ParseTopology(e.Machine.Topology)
-	if err != nil {
-		return cluster.Config{}, err
+	if f.Verbose {
+		fmt.Fprint(stdout, workload.Summarize(wl, mc.LocalMemMiB))
+		fmt.Fprintln(stdout)
 	}
-	return cluster.Config{
-		Racks:               e.Machine.Racks,
-		NodesPerRack:        e.Machine.NodesPerRack,
-		CoresPerNode:        e.Machine.CoresPerNode,
-		LocalMemMiB:         e.Machine.LocalGiB * 1024,
-		Topology:            topo,
-		PoolMiB:             e.Machine.PoolGiB * 1024,
-		FabricGiBps:         e.Machine.FabricGiBps,
-		TrafficGiBpsPerNode: e.Machine.TrafficGiBps,
-	}, nil
-}
-
-// FailureConfig converts the failure section (nil when absent).
-func (e *Experiment) FailureConfig() *sim.FailureConfig {
-	if e.Failures == nil {
-		return nil
-	}
-	return &sim.FailureConfig{
-		MTBFPerNodeSec: e.Failures.MTBFPerNodeSec,
-		RepairSec:      e.Failures.RepairSec,
-		Seed:           e.Failures.Seed,
-	}
+	return wl, nil
 }

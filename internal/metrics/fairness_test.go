@@ -3,6 +3,8 @@ package metrics
 import (
 	"math"
 	"testing"
+
+	"dismem/internal/stats"
 )
 
 func addJob(rec *Recorder, id, user, nodes int, submit, start, end int64) {
@@ -70,5 +72,47 @@ func TestFairnessEmpty(t *testing.T) {
 	fr := NewRecorder().Fairness()
 	if len(fr.Users) != 0 || fr.JainWait != 0 {
 		t.Fatalf("empty fairness = %+v", fr)
+	}
+}
+
+// TestJainWaitMatchesFairness requires JainWait to equal, bit for bit,
+// both Fairness().JainWait and the map-and-sort oracle's index (the
+// reduction Fairness made before JainWait existed) for recorders that
+// retain, that are bounded and that were cloned mid-stream, with no
+// users, one user and thousands of them, and to allocate nothing.
+func TestJainWaitMatchesFairness(t *testing.T) {
+	rng := stats.NewRNG(53)
+	for _, users := range []int{0, 1, 5000} {
+		n := 4 * users
+		if users == 0 {
+			n = 30 // rejected records only: no user gets a tally
+		}
+		recs := rankedRecords(rng, 1, n, max(users, 1))
+		if users == 0 {
+			for i := range recs {
+				recs[i].Rejected = true
+			}
+		}
+		want := math.Float64bits(fairnessRef(recs).JainWait)
+		for _, mode := range []string{"retain", "bounded", "cloned"} {
+			rec := NewRecorder()
+			if mode == "bounded" {
+				rec = NewBoundedRecorder()
+			}
+			for i, r := range recs {
+				if mode == "cloned" && i == len(recs)/2 {
+					rec = rec.Clone()
+				}
+				rec.Add(r)
+			}
+			got := rec.JainWait()
+			if math.Float64bits(got) != want || math.Float64bits(rec.Fairness().JainWait) != want {
+				t.Errorf("%d users, %s: JainWait %v, Fairness().JainWait %v, oracle %v",
+					users, mode, got, rec.Fairness().JainWait, math.Float64frombits(want))
+			}
+			if allocs := testing.AllocsPerRun(10, func() { rec.JainWait() }); allocs != 0 {
+				t.Errorf("%d users, %s: JainWait allocates %v times", users, mode, allocs)
+			}
+		}
 	}
 }

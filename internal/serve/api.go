@@ -99,7 +99,7 @@ func summarize(res *dismem.Result) RunSummary {
 		NodeFailures:      r.NodeFailures,
 		FailureKills:      r.FailureKills,
 		ScenarioEvents:    res.ScenarioEvents,
-		JainWait:          res.Recorder.Fairness().JainWait,
+		JainWait:          res.Recorder.JainWait(),
 		Stopped:           res.Stopped,
 	}
 }

@@ -306,17 +306,7 @@ func (s *Server) publishStatus() {
 		BaselineDone: s.sim.Done(),
 	})
 	g := s.gauges
-	g.Set("dismem_now_seconds", "baseline virtual clock", nil, float64(sample.Now))
-	g.Set("dismem_queue_depth", "jobs waiting in the baseline queue", nil, float64(sample.QueueDepth))
-	g.Set("dismem_running_jobs", "jobs running on the baseline machine", nil, float64(sample.Running))
-	g.Set("dismem_done_jobs", "baseline jobs finished", nil, float64(sample.Done))
-	g.Set("dismem_events_total", "DES events fired by the baseline", nil, float64(sample.Events))
-	g.Set("dismem_busy_nodes", "baseline nodes running at least one job", nil, float64(sample.Usage.BusyNodes))
-	g.Set("dismem_used_local_mib", "baseline node-local memory in use", nil, float64(sample.Usage.UsedLocal))
-	g.Set("dismem_used_pool_mib", "baseline pooled memory in use", nil, float64(sample.Usage.UsedPool))
-	g.Set("dismem_max_pool_util", "highest per-pool utilization", nil, sample.Usage.MaxPoolUtil)
-	g.Set("dismem_max_congestion", "highest per-pool fabric congestion ratio", nil, sample.Usage.MaxCongest)
-	setLabeledGauges(g, sample)
+	MirrorSample(g, sample)
 	done := 0.0
 	if s.sim.Done() {
 		done = 1
@@ -324,12 +314,23 @@ func (s *Server) publishStatus() {
 	g.Set("dismem_baseline_done", "1 once the baseline workload drained", nil, done)
 }
 
-// setLabeledGauges mirrors the per-pool and per-rack breakdown of one
-// sample into labeled gauge families — the same families dmsched's
-// -metrics-addr exports, so dashboards work against either. Pool sets
-// are stable for a machine's lifetime (pools never appear or vanish
-// mid-run; a drained pool reads 0), so stale labels cannot linger.
-func setLabeledGauges(g *telemetry.GaugeSet, sample dismem.Sample) {
+// MirrorSample sets the dismem_* gauge families of one sample in g:
+// the live state dmserve's /metrics serves for its baseline and
+// dmsched -metrics-addr for its run, so dashboards work against
+// either. Pool sets are stable for a machine's lifetime (pools never
+// appear or vanish mid-run; a drained pool reads 0), so stale labels
+// cannot linger.
+func MirrorSample(g *telemetry.GaugeSet, sample dismem.Sample) {
+	g.Set("dismem_now_seconds", "virtual clock of the run", nil, float64(sample.Now))
+	g.Set("dismem_queue_depth", "jobs waiting in the queue", nil, float64(sample.QueueDepth))
+	g.Set("dismem_running_jobs", "jobs running on the machine", nil, float64(sample.Running))
+	g.Set("dismem_done_jobs", "jobs finished", nil, float64(sample.Done))
+	g.Set("dismem_events_total", "DES events fired", nil, float64(sample.Events))
+	g.Set("dismem_busy_nodes", "nodes running at least one job", nil, float64(sample.Usage.BusyNodes))
+	g.Set("dismem_used_local_mib", "node-local memory in use", nil, float64(sample.Usage.UsedLocal))
+	g.Set("dismem_used_pool_mib", "pooled memory in use", nil, float64(sample.Usage.UsedPool))
+	g.Set("dismem_max_pool_util", "highest per-pool utilization", nil, sample.Usage.MaxPoolUtil)
+	g.Set("dismem_max_congestion", "highest per-pool fabric congestion ratio", nil, sample.Usage.MaxCongest)
 	for _, p := range sample.Pools {
 		lbl := map[string]string{"pool": strconv.Itoa(p.ID)}
 		g.Set("dismem_pool_used_bytes", "pooled memory in use, per pool", lbl, float64(p.UsedMiB)*1024*1024)

@@ -44,6 +44,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		"dismem_baseline_done 1\n",
+		"# HELP dismem_queue_depth jobs waiting in the queue\n", // MirrorSample's wording, shared with dmsched
 		"dismem_queue_depth 0\n",
 		`dismem_pool_used_bytes{pool="0"} `,
 		`dismem_pool_capacity_bytes{pool="0"} `,

@@ -489,7 +489,7 @@ func seedResult(h *dismem.Simulation, s int) seedOut {
 	out := seedOut{rep: res.Report, stopped: res.Stopped}
 	if s == 0 {
 		out.records = res.Recorder.Records()
-		out.jain = res.Recorder.Fairness().JainWait
+		out.jain = res.Recorder.JainWait()
 	}
 	return out
 }

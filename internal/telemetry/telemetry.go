@@ -1,6 +1,7 @@
 // Package telemetry is a dependency-free Prometheus-text-exposition
 // layer: a Metric model, a deterministic writer for the text format
-// (version 0.0.4), an HTTP handler that serves it, a mutex-guarded
+// (version 0.0.4), an HTTP handler that serves it and the one /metrics
+// listener the command-line tools start (ListenAndServe), a mutex-guarded
 // GaugeSet for live simulation gauges, and an expvar bridge so the
 // counters long-running daemons already publish scrape without new
 // bookkeeping. A hand-written format validator (validate.go) backs the
@@ -12,6 +13,7 @@ import (
 	"expvar"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -237,6 +239,22 @@ func Handler(sources ...Source) http.Handler {
 		w.Header().Set("Content-Type", ContentType)
 		io.WriteString(w, b.String())
 	})
+}
+
+// ListenAndServe serves GET /metrics over sources on addr, from a
+// background goroutine, for the lifetime of the process, and returns
+// the bound address (so ":0" is usable in scripts and tests).
+func ListenAndServe(addr string, sources ...Source) (net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", Handler(sources...))
+	// Serve returns only when its listener fails or is closed; it
+	// retries temporary accept errors, and nothing closes this one.
+	go func() { _ = (&http.Server{Handler: mux}).Serve(ln) }()
+	return ln.Addr(), nil
 }
 
 // GaugeSet is a concurrency-safe collection of gauges keyed by (name,

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"expvar"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -162,6 +163,39 @@ func TestGaugeSetAndHandler(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/metrics", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /metrics: %d, want 405", rec.Code)
+	}
+}
+
+// TestListenAndServe: the listener binds before returning (":0"
+// reports its real port), serves /metrics over the sources and nothing
+// else, and a bad address is an error.
+func TestListenAndServe(t *testing.T) {
+	g := NewGaugeSet()
+	g.Set("dismem_now_seconds", "virtual clock", nil, 7)
+	addr, err := ListenAndServe("127.0.0.1:0", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string) (int, string) {
+		resp, err := http.Get("http://" + addr.String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	if code, body := get("/metrics"); code != http.StatusOK || !strings.Contains(body, "dismem_now_seconds 7\n") {
+		t.Fatalf("GET /metrics: %d\n%s", code, body)
+	}
+	if code, _ := get("/debug/vars"); code != http.StatusNotFound {
+		t.Fatalf("GET /debug/vars: %d, want 404", code)
+	}
+	if _, err := ListenAndServe("127.0.0.1:-1"); err == nil {
+		t.Fatal("a bad address was accepted")
 	}
 }
 
