@@ -3,9 +3,9 @@ package dismem_test
 // Alloc-budget regression tests. Two bounds pin the per-job allocation
 // contract (DESIGN.md §13):
 //
-//   - A per-run ceiling on allocations per job at 1,000 jobs, for one
-//     Simulate (engine construction included) and for a steady-state
-//     Runner run. Each sits a stated margin above today's measurement.
+//   - A per-run ceiling on allocations per job at 1,000 jobs for one
+//     Simulate, engine construction included. It sits a stated margin
+//     above today's measurement.
 //   - A marginal bound: (allocs at 5,000 jobs − allocs at 1,000 jobs) ÷
 //     4,000 must stay at or below marginalAllocsPerJob. Construction and
 //     other per-run costs cancel in the difference, so what is left is
@@ -15,9 +15,9 @@ package dismem_test
 //     encode per record) adds at least one allocation per job and fails
 //     here, in ordinary `go test ./...`.
 //
-// The marginal bound covers Simulate, Runner.Run, and a streamed SWF
-// replay with JSONL record and trace sinks, the archive-scale path
-// that carries source decode and sink encode.
+// The marginal bound covers Simulate and a streamed SWF replay with
+// JSONL record and trace sinks, the archive-scale path that carries
+// source decode and sink encode.
 
 import (
 	"bytes"
@@ -36,13 +36,9 @@ const (
 	// less than one allocation per job, so one new per-job site fails.
 	// The seed sat at ~110.
 	freshAllocsPerJob = 1.5
-	// batchAllocsPerJob bounds a steady-state Runner run, where the
-	// machine, event pool and scratch all carry over. Measured 0.31,
-	// plus a margin of 0.19.
-	batchAllocsPerJob = 0.5
 	// marginalAllocsPerJob bounds the allocations each further job adds
-	// (see the file comment). Measured 0.12 (Simulate), 0.03 (Runner)
-	// and 0.04 (streamed replay).
+	// (see the file comment). Measured 0.12 (Simulate) and 0.04
+	// (streamed replay).
 	marginalAllocsPerJob = 0.5
 )
 
@@ -57,22 +53,6 @@ func allocBudgetOptions(jobs int) dismem.Options {
 func simulateAllocs(t *testing.T, o dismem.Options) float64 {
 	return testing.AllocsPerRun(3, func() {
 		res, err := dismem.Simulate(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Report.Jobs() == 0 {
-			t.Fatal("no jobs ran")
-		}
-	})
-}
-
-// runnerAllocs returns a steady-state Runner run's allocations per run
-// of o. AllocsPerRun's own warm-up call doubles as the batch's cold
-// first run, so the measured runs are all steady-state reuse.
-func runnerAllocs(t *testing.T, o dismem.Options) float64 {
-	r := dismem.NewRunner()
-	return testing.AllocsPerRun(3, func() {
-		res, err := r.Run(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,17 +104,6 @@ func TestAllocBudgetSimulate(t *testing.T) {
 	}
 }
 
-func TestAllocBudgetRunner(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector inflates allocation counts")
-	}
-	perRun := runnerAllocs(t, allocBudgetOptions(allocBudgetJobs))
-	if perJob := perRun / allocBudgetJobs; perJob > batchAllocsPerJob {
-		t.Errorf("Runner.Run allocates %.2f allocs/job (%.0f/run), budget %.2f — batch reuse is leaking construction work",
-			perJob, perRun, batchAllocsPerJob)
-	}
-}
-
 // TestAllocBudgetMarginal pins the per-job allocation cost of each
 // path: the growth in allocations from 1,000 to 5,000 jobs, per job.
 func TestAllocBudgetMarginal(t *testing.T) {
@@ -147,7 +116,6 @@ func TestAllocBudgetMarginal(t *testing.T) {
 		allocs func(jobs int) float64
 	}{
 		{"Simulate", func(n int) float64 { return simulateAllocs(t, allocBudgetOptions(n)) }},
-		{"Runner.Run", func(n int) float64 { return runnerAllocs(t, allocBudgetOptions(n)) }},
 		{"streamed SWF replay", func(n int) float64 { return streamAllocs(t, n) }},
 	} {
 		a, b := c.allocs(small), c.allocs(large)

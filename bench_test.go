@@ -217,19 +217,6 @@ func BenchmarkSimulation(b *testing.B) {
 	benchRuns(b, func() (*dismem.Result, error) { return dismem.Simulate(opts) })
 }
 
-// BenchmarkBatchSimulation is BenchmarkSimulation on the batched
-// multi-run path: one Runner executes the headline run per iteration,
-// so every run after the first reuses the previous run's machine (reset
-// in place), DES event pool and engine scratch instead of rebuilding
-// them. The jobs/s gap to BenchmarkSimulation is what dismem.Runner,
-// and the sweep worker pool built on it, saves per run; results stay
-// bit-identical to fresh construction (TestRunnerMatchesLoopOfSimulate).
-func BenchmarkBatchSimulation(b *testing.B) {
-	opts := headline(dismem.SyntheticWorkload(benchJobs, 1))
-	r := dismem.NewRunner()
-	benchRuns(b, func() (*dismem.Result, error) { return r.Run(opts) })
-}
-
 // BenchmarkScenarioSimulation is BenchmarkSimulation with an active
 // intervention timeline: a 12-hour rack outage plus a diurnal arrival
 // cycle. It measures the scenario subsystem's end-to-end overhead: the

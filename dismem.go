@@ -350,7 +350,7 @@ type Options struct {
 	// retains no records. Nil keeps the default retain-all recorder.
 	// The run owns each sink from the call that receives the Options:
 	// it is closed exactly once, when the run ends or when New (or
-	// Simulate, or a Runner) rejects the Options.
+	// Simulate) rejects the Options.
 	RecordSink Sink
 	// StrictKill disables the dilation-extended walltime limit: jobs
 	// are killed at the raw user estimate even when the system itself

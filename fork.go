@@ -84,9 +84,13 @@ type ForkOptions struct {
 	// spec string, as Options.Policy). Empty keeps the checkpointed
 	// policy; SchedulerImpl overrides both. The replacement scheduler
 	// is built fresh and carries nothing from the original run, so its
-	// first pass is a full pass, with no earlier pass to resume.
+	// first pass is a full pass, with no earlier pass to resume. A
+	// queued job the replacement can never start on the checkpointed
+	// machine (a local-only placer after a pool-borrowing one) is
+	// rejected at the fork instant, as it would have been at submission.
 	Policy string
-	// SchedulerImpl overrides Policy with a concrete scheduler.
+	// SchedulerImpl overrides Policy with a concrete scheduler, and
+	// rejects the queued jobs it can never start like Policy does.
 	SchedulerImpl Scheduler
 	// Scenario replaces the REMAINING intervention timeline: pending
 	// interventions from the original scenario are dropped, and the
@@ -206,6 +210,9 @@ func fork(cp *Checkpoint, o ForkOptions, outs sim.Outputs) (*Simulation, error) 
 		return nil, fmt.Errorf("dismem: fork scenario must not modulate arrivals (surge/diurnal warp submit times before a run starts and cannot be re-applied at a fork)")
 	}
 	over := sim.Overrides{
+		// A Policy equal to the checkpointed one builds the same fresh
+		// scheduler a fork without overrides gets.
+		PolicyReplaced: o.SchedulerImpl != nil || (o.Policy != "" && o.Policy != cp.opts.Policy),
 		Scenario:       o.Scenario,
 		ReseedFailures: o.ReseedFailures,
 		FailureSeed:    o.FailureSeed,

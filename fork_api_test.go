@@ -1,6 +1,7 @@
 package dismem_test
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -123,6 +124,96 @@ func TestForkWhatIf(t *testing.T) {
 	sjfA := mustRun(t, mustFork(t, cp, dismem.ForkOptions{Policy: "order=sjf placer=memaware"}))
 	sjfB := mustRun(t, mustFork(t, cp, dismem.ForkOptions{Policy: "order=sjf placer=memaware"}))
 	sameResults(t, "policy forks", sjfA, sjfB)
+}
+
+// TestForkPolicySwitchRejectsInfeasibleQueue: a memaware run queues
+// jobs that fit only with pool memory. A fork that switches to
+// easy-local must reject exactly the queued jobs easy-local can never
+// start, at the fork instant, and run everything else to completion
+// instead of leaving them queued forever.
+func TestForkPolicySwitchRejectsInfeasibleQueue(t *testing.T) {
+	wl := dismem.SyntheticWorkload(2000, 3)
+	opts := dismem.Options{Policy: "memaware", Workload: wl}
+	mem := mustRun(t, mustNew(t, opts))
+	neverLocal := map[int]bool{} // the jobs a fresh easy-local run rejects
+	for _, r := range mustRun(t, mustNew(t, dismem.Options{Policy: "easy-local", Workload: wl})).Recorder.Records() {
+		if r.Rejected {
+			neverLocal[r.ID] = true
+		}
+	}
+	for _, at := range []int64{43200, 86400} {
+		cp := checkpointAt(t, opts, at)
+		// The fork's rejections: memaware's before the instant, the
+		// queued jobs easy-local can never start, and easy-local's
+		// after the instant.
+		want := map[int]bool{}
+		queued, stuck := 0, 0
+		for _, r := range mem.Recorder.Records() {
+			switch {
+			case r.Submit > at:
+				if neverLocal[r.ID] {
+					want[r.ID] = true
+				}
+			case r.Rejected:
+				want[r.ID] = true
+			case r.Start > at:
+				queued++
+				if neverLocal[r.ID] {
+					want[r.ID] = true
+					stuck++
+				}
+			}
+		}
+		if stuck == 0 {
+			t.Fatalf("t=%d: none of %d queued jobs is infeasible under easy-local; the fixture tests nothing", at, queued)
+		}
+		res, err := mustFork(t, cp, dismem.ForkOptions{Policy: "easy-local"}).Run()
+		if err != nil {
+			t.Fatalf("easy-local fork at t=%d: %v", at, err)
+		}
+		got := map[int]bool{}
+		for _, r := range res.Recorder.Records() {
+			if r.Rejected {
+				got[r.ID] = true
+			}
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("t=%d: fork rejected %d jobs, want %d (%d of %d queued jobs infeasible under easy-local)",
+				at, len(got), len(want), stuck, queued)
+		}
+		if n := res.Report.Jobs() + res.Report.Rejected; n != len(wl.Jobs) {
+			t.Fatalf("t=%d: fork accounted for %d jobs, want %d", at, n, len(wl.Jobs))
+		}
+		t.Logf("t=%d: %d queued, %d rejected at the fork", at, queued, stuck)
+	}
+}
+
+// TestForkKeepingPolicyKeepsQueue: while a scenario has emptied the
+// pools, queued jobs that need pool memory fail the scheduler's
+// Feasible, yet the uninterrupted run keeps them queued until the
+// pools come back. A fork that keeps the policy, by omission or by
+// naming it, must keep them too: it replays the uninterrupted run.
+func TestForkKeepingPolicyKeepsQueue(t *testing.T) {
+	sc, err := dismem.ParseScenario("at=40000 resize pool=all cap=0; at=90000 resize pool=all cap=4194304")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 43200
+	opts := dismem.Options{Policy: "memaware", Workload: dismem.SyntheticWorkload(2000, 3), Scenario: sc}
+	fresh := mustRun(t, mustNew(t, opts))
+	local := dismem.DefaultMachine().LocalMemMiB
+	needPool := 0
+	for _, r := range fresh.Recorder.Records() {
+		if !r.Rejected && r.Submit <= at && r.Start > at && r.MemPerNode > local {
+			needPool++
+		}
+	}
+	if needPool == 0 {
+		t.Fatal("no queued job needs pool memory at the fork; the fixture tests nothing")
+	}
+	cp := checkpointAt(t, opts, at)
+	sameResults(t, "fork without overrides", fresh, mustRun(t, mustFork(t, cp, dismem.ForkOptions{})))
+	sameResults(t, "fork naming memaware", fresh, mustRun(t, mustFork(t, cp, dismem.ForkOptions{Policy: "memaware"})))
 }
 
 func mustFork(t *testing.T, cp *dismem.Checkpoint, o dismem.ForkOptions) *dismem.Simulation {

@@ -160,11 +160,7 @@ func (a *Allocation) RemoteFraction() float64 {
 // Machine owns all resource state. It is not safe for concurrent use;
 // the simulation kernel is single-threaded (see package des).
 type Machine struct {
-	cfg Config
-	// baseCfg is the configuration the machine was constructed with —
-	// the state Reset returns to, unaffected by scenario growth or
-	// resizes that rewrite cfg.
-	baseCfg   Config
+	cfg       Config
 	nodes     []Node
 	pools     []Pool
 	freeNodes int
@@ -172,9 +168,9 @@ type Machine struct {
 	allocs    map[int]*Allocation // by job ID
 
 	// version increments on every state mutation (allocate, release,
-	// node up/down, pool resize, growth, reset). (Machine pointer,
-	// Version) therefore identifies one exact machine state, which
-	// placers key derived-view caches on.
+	// node up/down, pool resize, growth). (Machine pointer, Version)
+	// therefore identifies one exact machine state, which placers key
+	// derived-view caches on.
 	version uint64
 
 	// allocPool is the free list AllocateCopy draws from and Recycle
@@ -182,7 +178,7 @@ type Machine struct {
 	allocPool []*Allocation
 
 	// usageCache memoizes Usage at usageVer (0 = never computed;
-	// version is always >= 1 after Reset).
+	// version is always >= 1 from construction on).
 	usageCache Usage
 	usageVer   uint64
 
@@ -213,54 +209,38 @@ type Machine struct {
 	poolsHit  []PoolID
 }
 
-// New builds a machine from cfg.
+// New builds a machine from cfg: all nodes up and free, pools empty
+// and at configured capacity.
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{baseCfg: cfg, allocs: make(map[int]*Allocation)}
-	m.Reset()
-	return m, nil
-}
-
-// sliceFor returns s resized to n elements, zeroed — reusing s's
-// backing array when its capacity suffices.
-func sliceFor[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		s = s[:n]
-		clear(s)
-		return s
-	}
-	return make([]T, n)
-}
-
-// Reset returns the machine to its freshly constructed state under the
-// config New was called with: all nodes up and free, pools empty and at
-// configured capacity, every committed allocation dropped (pooled ones
-// recycled). Mutations that rewrote the live config — scenario growth,
-// machine-wide pool resizes — are rolled back. Slice storage and the
-// allocation free list are retained, so a batch of runs reuses one
-// machine's memory. New itself is implemented as a Reset of a blank
-// machine, which is what makes reset-and-reuse equivalent to fresh
-// construction by construction.
-func (m *Machine) Reset() {
-	cfg := m.baseCfg
-	for id, a := range m.allocs {
-		delete(m.allocs, id)
-		m.Recycle(a)
-	}
 	total := cfg.TotalNodes()
-	m.cfg = cfg
-	m.nodes = sliceFor(m.nodes, total)
-	m.freeNodes = total
-	m.downNodes = 0
-	m.busyNodes = 0
-	m.usedLocalMiB = 0
-	m.usedPoolMiB = 0
-	m.rackFree = sliceFor(m.rackFree, cfg.Racks)
-	m.freeBits = sliceFor(m.freeBits, (total+63)/64)
-	m.nodeStamp = sliceFor(m.nodeStamp, total)
-	m.stampGen = 0
+	var pools []Pool
+	switch cfg.Topology {
+	case TopologyRack:
+		pools = make([]Pool, cfg.Racks)
+		for r := range pools {
+			pools[r] = Pool{ID: PoolID(r), CapacityMiB: cfg.PoolMiB, FabricGiBps: cfg.FabricGiBps}
+		}
+	case TopologyGlobal:
+		pools = []Pool{{ID: 0, CapacityMiB: cfg.PoolMiB, FabricGiBps: cfg.FabricGiBps}}
+	}
+	m := &Machine{
+		cfg: cfg,
+		// version starts at 1: usageVer == 0 means "never computed".
+		version:      1,
+		nodes:        make([]Node, total),
+		pools:        pools,
+		freeNodes:    total,
+		allocs:       make(map[int]*Allocation),
+		poolDegraded: make([]bool, len(pools)),
+		rackFree:     make([]int, cfg.Racks),
+		freeBits:     make([]uint64, (total+63)/64),
+		remoteShares: make([]int, len(pools)),
+		nodeStamp:    make([]int64, total),
+		poolNeed:     make([]int64, len(pools)),
+	}
 	for i := range m.nodes {
 		m.nodes[i] = Node{ID: NodeID(i), Rack: i / cfg.NodesPerRack}
 		m.setFree(NodeID(i))
@@ -268,23 +248,7 @@ func (m *Machine) Reset() {
 	for r := range m.rackFree {
 		m.rackFree[r] = cfg.NodesPerRack
 	}
-	switch cfg.Topology {
-	case TopologyRack:
-		m.pools = sliceFor(m.pools, cfg.Racks)
-		for r := range m.pools {
-			m.pools[r] = Pool{ID: PoolID(r), CapacityMiB: cfg.PoolMiB, FabricGiBps: cfg.FabricGiBps}
-		}
-	case TopologyGlobal:
-		m.pools = sliceFor(m.pools, 1)
-		m.pools[0] = Pool{ID: 0, CapacityMiB: cfg.PoolMiB, FabricGiBps: cfg.FabricGiBps}
-	default:
-		m.pools = m.pools[:0]
-	}
-	m.remoteShares = sliceFor(m.remoteShares, len(m.pools))
-	m.poolNeed = sliceFor(m.poolNeed, len(m.pools))
-	m.poolsHit = m.poolsHit[:0]
-	m.poolDegraded = sliceFor(m.poolDegraded, len(m.pools))
-	m.version++
+	return m, nil
 }
 
 // setFree marks node id available in the free bitset.
@@ -303,7 +267,6 @@ func (m *Machine) clearFree(id NodeID) { m.freeBits[id>>6] &^= 1 << (uint(id) & 
 func (m *Machine) Clone() *Machine {
 	c := &Machine{
 		cfg:          m.cfg,
-		baseCfg:      m.baseCfg,
 		version:      m.version,
 		nodes:        append([]Node(nil), m.nodes...),
 		pools:        append([]Pool(nil), m.pools...),
@@ -341,14 +304,8 @@ func MustNew(cfg Config) *Machine {
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// BaseConfig returns the configuration the machine was constructed
-// with: the state Reset restores, unaffected by scenario growth or
-// resizes that rewrite Config. Engines reusing a machine across runs
-// compare it against the next run's configuration.
-func (m *Machine) BaseConfig() Config { return m.baseCfg }
-
 // Version returns the mutation counter: it increments on every state
-// change (allocate, release, node up/down, pool resize, growth, reset),
+// change (allocate, release, node up/down, pool resize, growth),
 // so (Machine pointer, Version) identifies one exact machine state.
 // Derived-view caches — e.g. the memory-aware placer's rack views — are
 // keyed on it.

@@ -78,8 +78,7 @@ func FromState(st MachineState) (*Machine, error) {
 
 	total := len(st.Nodes)
 	m := &Machine{
-		cfg:     st.Config,
-		baseCfg: st.Config,
+		cfg: st.Config,
 		// version must start >= 1: usageVer == 0 means "never
 		// computed", and a restored machine's first Usage() call has
 		// to miss that cache, not hit a zero value.

@@ -77,7 +77,8 @@ func (f *Flags) Given() []string {
 
 // Options builds the run the flags describe, all but its workload (see
 // Workload): the machine, policy, model, kill rule, scenario and
-// failure injection.
+// failure injection. -mtbf 0 turns failure injection off, and then
+// -repair and -failure-seed are errors, not silently ignored.
 func (f *Flags) Options() (dismem.Options, error) {
 	topo, err := cluster.ParseTopology(f.Topology)
 	if err != nil {
@@ -98,8 +99,17 @@ func (f *Flags) Options() (dismem.Options, error) {
 			return dismem.Options{}, fmt.Errorf("-scenario: %w", err)
 		}
 	}
-	if f.MTBF > 0 {
-		o.Failures = &dismem.FailureConfig{MTBFPerNodeSec: f.MTBF, RepairSec: f.Repair, Seed: f.FailureSeed}
+	if f.MTBF == 0 {
+		for _, name := range f.Given() {
+			if name == "repair" || name == "failure-seed" {
+				return dismem.Options{}, fmt.Errorf("-%s needs -mtbf: failure injection is off at -mtbf 0", name)
+			}
+		}
+		return o, nil
+	}
+	o.Failures = &dismem.FailureConfig{MTBFPerNodeSec: f.MTBF, RepairSec: f.Repair, Seed: f.FailureSeed}
+	if err := o.Failures.Validate(); err != nil {
+		return dismem.Options{}, fmt.Errorf("failure injection (-mtbf %d, -repair %d): %w", f.MTBF, f.Repair, err)
 	}
 	return o, nil
 }

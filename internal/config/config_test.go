@@ -65,7 +65,9 @@ func options(t *testing.T, wantErr []string, args ...string) dismem.Options {
 }
 
 // TestOptions checks the run each argument list describes, and that a
-// bad scenario is an error naming the flag and its value.
+// bad scenario or failure flag is an error naming the flag: a negative
+// -mtbf or -repair, and -repair or -failure-seed while -mtbf 0 leaves
+// failure injection off.
 func TestOptions(t *testing.T) {
 	def := dismem.DefaultMachine()
 	for _, c := range []struct {
@@ -88,6 +90,10 @@ func TestOptions(t *testing.T) {
 			scen: "at=3600 down rack=2; at=7200 up rack=2",
 		},
 		{name: "bad scenario", args: []string{"-scenario", "at=3600 explode rack=2"}, err: []string{"-scenario", "explode"}},
+		{name: "negative mtbf", args: []string{"-mtbf", "-5"}, err: []string{"-mtbf", "-5"}},
+		{name: "negative repair", args: []string{"-mtbf", "2000000", "-repair", "-1"}, err: []string{"-repair", "-1"}},
+		{name: "repair without mtbf", args: []string{"-repair", "60"}, err: []string{"-repair", "-mtbf"}},
+		{name: "failure seed without mtbf", args: []string{"-mtbf", "0", "-failure-seed", "9"}, err: []string{"-failure-seed", "-mtbf"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			got := options(t, c.err, c.args...)
@@ -161,11 +167,10 @@ func TestMachineConfigConversion(t *testing.T) {
 	}
 }
 
-// TestFailureConfigConversion checks that -mtbf 0 injects no failures,
-// whatever -repair and -failure-seed say, and -mtbf N the matching
-// FailureConfig.
+// TestFailureConfigConversion checks that -mtbf 0 injects no failures
+// and -mtbf N gives the matching FailureConfig.
 func TestFailureConfigConversion(t *testing.T) {
-	if fc := options(t, nil, "-mtbf", "0", "-repair", "60", "-failure-seed", "9").Failures; fc != nil {
+	if fc := options(t, nil, "-mtbf", "0").Failures; fc != nil {
 		t.Fatalf("-mtbf 0 gave failures %+v, want nil", fc)
 	}
 	fc := options(t, nil, "-mtbf", "2000000", "-repair", "3600", "-failure-seed", "9").Failures

@@ -132,26 +132,6 @@ func New() *Simulator {
 	return &Simulator{}
 }
 
-// NewReusing returns an empty simulator that adopts prev's event pool
-// and queue storage, so a fresh run starts with the previous run's
-// warmed-up capacity instead of growing its own. Any events still
-// pending in prev are recycled into the new pool. prev must not be used
-// afterwards: its queue is gone and its pooled events now belong to the
-// returned simulator.
-func NewReusing(prev *Simulator) *Simulator {
-	if prev == nil {
-		return New()
-	}
-	s := &Simulator{pool: prev.pool}
-	for _, e := range prev.queue {
-		s.recycle(e)
-	}
-	s.queue = prev.queue[:0]
-	prev.queue, prev.pool = nil, nil
-	prev.stopped = true
-	return s
-}
-
 // recycle zeroes a dead event (releasing its handler and payload
 // references) and returns it to the free pool.
 func (s *Simulator) recycle(e *Event) {

@@ -38,7 +38,8 @@ type JobRecord struct {
 	// Dilation is the runtime multiplier observed at start.
 	Dilation float64
 	// Killed marks jobs terminated at the limit; Rejected marks jobs
-	// that could never run on the machine and were refused at submit.
+	// that could never run on the machine and were refused at submit,
+	// or at a fork that switched to a policy that can never start them.
 	Killed, Rejected bool
 	// Restarts counts how many times node failures killed and
 	// resubmitted the job before this final record.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -163,6 +164,30 @@ func TestServeStatusAndCheckpoints(t *testing.T) {
 	}
 }
 
+// offlineFork is the offline path a what-if answer must match: run
+// opts to at, checkpoint, fork with fo and run the fork to its end.
+func offlineFork(t *testing.T, opts dismem.Options, at int64, fo dismem.ForkOptions) *dismem.Result {
+	t.Helper()
+	off, err := dismem.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off.RunUntil(at)
+	cp, err := off.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := dismem.Fork(cp, fo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run()
+	if err != nil {
+		t.Fatalf("offline fork at t=%d: %v", at, err)
+	}
+	return res
+}
+
 // TestWhatIfMatchesOfflineFork is the serving-layer golden test: a
 // /v1/whatif answer must be bit-identical to the offline path — run to
 // the same instant, Checkpoint, Fork with the same overrides, Run —
@@ -186,23 +211,7 @@ func TestWhatIfMatchesOfflineFork(t *testing.T) {
 	}
 
 	// The offline path the CI smoke also exercises via dmsched.
-	off, err := dismem.New(testOptions(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	off.RunUntil(21600)
-	cp, err := off.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := dismem.Fork(cp, dismem.ForkOptions{ScenarioSpec: "at=50000 down rack=2; at=86400 up rack=2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	offRes, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	offRes := offlineFork(t, testOptions(t), 21600, dismem.ForkOptions{ScenarioSpec: "at=50000 down rack=2; at=86400 up rack=2"})
 	if got, want := resp.Report, summarize(offRes); got != want {
 		t.Fatalf("service report diverges from offline fork:\n%+v\n%+v", got, want)
 	}
@@ -229,6 +238,40 @@ func TestWhatIfMatchesOfflineFork(t *testing.T) {
 	}
 	if d := resp.Report.MeanWaitSec - resp.Baseline.MeanWaitSec; d != resp.Deltas.MeanWaitSec {
 		t.Fatalf("delta mean_wait_sec %v inconsistent with report-baseline %v", resp.Deltas.MeanWaitSec, d)
+	}
+}
+
+// TestWhatIfPolicySwitchDrains: a what-if that switches a memaware
+// baseline to a local-only placer forks a queue memaware admitted. Its
+// answer must be 200, equal to the offline fork's report and, in text
+// format, byte-equal to its rendering: the queued jobs easy-local can
+// never start are rejected at the fork instead of never terminating.
+func TestWhatIfPolicySwitchDrains(t *testing.T) {
+	opts := dismem.Options{Policy: "memaware", Workload: dismem.SyntheticWorkload(2000, 3)}
+	s, err := New(Config{Options: opts, CkptDir: t.TempDir(), CkptEvery: 7200, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveToDone(t, s)
+	h := s.Handler()
+	for _, at := range []int64{43200, 86400} {
+		body := fmt.Sprintf(`{"at":%d,"policy":"easy-local"}`, at)
+		rec := do(h, http.MethodPost, "/v1/whatif", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST /v1/whatif %s = %d: %s", body, rec.Code, rec.Body)
+		}
+		var resp WhatIfResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		offRes := offlineFork(t, opts, at, dismem.ForkOptions{Policy: "easy-local"})
+		if got, want := resp.Report, summarize(offRes); got != want {
+			t.Fatalf("t=%d: service report diverges from offline fork:\n%+v\n%+v", at, got, want)
+		}
+		recText := do(h, http.MethodPost, "/v1/whatif?format=text", body)
+		if got, want := recText.Body.String(), report.Format("easy-local", offRes); recText.Code != http.StatusOK || got != want {
+			t.Fatalf("t=%d: text what-if = %d, diverges from offline render:\n--- got\n%s--- want\n%s", at, recText.Code, got, want)
+		}
 	}
 }
 

@@ -167,6 +167,12 @@ type Overrides struct {
 	// forks should each get a fresh scheduler, since schedulers carry
 	// internal caches).
 	Scheduler sched.Scheduler
+	// PolicyReplaced marks Scheduler as a different policy, not a fresh
+	// instance of the checkpointed one. The queue was admitted by the
+	// old policy, so every queued job the new one can never start on
+	// the restored machine is rejected at the resume instant, in queue
+	// order, as an arrival would be; otherwise it would wait forever.
+	PolicyReplaced bool
 	// Scenario replaces the REMAINING intervention timeline: pending
 	// interventions from the checkpointed scenario are discarded and
 	// the new scenario's events are scheduled instead (events dated
@@ -369,6 +375,9 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 			return nil, fmt.Errorf("sim: checkpoint running job %d has no end event", id)
 		}
 	}
+	if o.PolicyReplaced {
+		e.rejectInfeasible(cp.now)
+	}
 
 	if e.Outstanding() {
 		// Post-restore arming, in a fixed order for determinism: the
@@ -397,6 +406,22 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 		}
 	}
 	return e, nil
+}
+
+// rejectInfeasible rejects, in queue order, every queued job the
+// scheduler can never start on the machine, and keeps the rest in
+// order.
+func (e *Engine) rejectInfeasible(now int64) {
+	kept := e.queue[:0]
+	for _, j := range e.queue {
+		if e.cfg.Scheduler.Feasible(j, e.m, e.cfg.Model) {
+			kept = append(kept, j)
+		} else {
+			e.reject(now, j)
+		}
+	}
+	clear(e.queue[len(kept):])
+	e.queue = kept
 }
 
 // viewIDs lists the job IDs of a running view, in its order (nil when

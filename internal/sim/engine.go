@@ -261,27 +261,7 @@ func (e *Engine) bindHandlers() {
 }
 
 // New builds an engine; the machine is constructed from cfg.Machine.
-func New(cfg Config) (*Engine, error) { return newEngine(cfg, nil) }
-
-// NewReusing builds an engine for cfg that recycles a finished
-// predecessor's run-independent state: the machine (reset in place when
-// cfg.Machine matches its base configuration), the DES event free list,
-// and every per-event scratch structure (running views, pass context,
-// runningState pool, maps). The per-run observable state — recorder,
-// scheduler, sinks, RNGs — is fresh, so a NewReusing engine produces
-// byte-identical reports, records, series and traces to a New one with
-// the same Config (the batch path's bit-identity contract, pinned by
-// TestRunnerMatchesLoopOfSimulate). prev becomes unusable; passing a
-// nil or unfinished prev falls back to plain construction.
-func NewReusing(cfg Config, prev *Engine) (*Engine, error) {
-	if prev == nil || !prev.finished {
-		return newEngine(cfg, nil)
-	}
-	return newEngine(cfg, prev)
-}
-
-// newEngine is the shared constructor behind New and NewReusing.
-func newEngine(cfg Config, prev *Engine) (*Engine, error) {
+func New(cfg Config) (*Engine, error) {
 	if cfg.Scheduler == nil {
 		return nil, fmt.Errorf("sim: nil scheduler")
 	}
@@ -290,20 +270,9 @@ func newEngine(cfg Config, prev *Engine) (*Engine, error) {
 			return nil, err
 		}
 	}
-	var m *cluster.Machine
-	if prev != nil && prev.m.BaseConfig() == cfg.Machine {
-		// Reset is New by construction (same code path over the same
-		// base configuration), so the reused machine is bit-identical
-		// to a fresh one — with its node/pool/bitset backing arrays and
-		// allocation free list retained.
-		m = prev.m
-		m.Reset()
-	} else {
-		var err error
-		m, err = cluster.New(cfg.Machine)
-		if err != nil {
-			return nil, err
-		}
+	m, err := cluster.New(cfg.Machine)
+	if err != nil {
+		return nil, err
 	}
 	if err := cfg.Scenario.Validate(); err != nil {
 		return nil, err
@@ -322,33 +291,6 @@ func newEngine(cfg Config, prev *Engine) (*Engine, error) {
 		restarts:     make(map[int]int),
 		dilScale:     1,
 		scenarioDown: make(map[cluster.NodeID]bool),
-	}
-	if prev != nil {
-		// Adopt the predecessor's recycled storage. Everything here is
-		// either empty, cleared, or pooled zeroed values; nothing of the
-		// previous run's observable state survives.
-		e.sim = des.NewReusing(prev.sim)
-		e.queue = prev.queue[:0]
-		// A stopped predecessor may leave running entries; drop their
-		// references along with them.
-		clear(prev.byID)
-		clear(prev.byEnd)
-		clear(prev.remote)
-		e.byID = prev.byID[:0]
-		e.byEnd = prev.byEnd[:0]
-		e.remote = prev.remote[:0]
-		clear(prev.running)
-		e.running = prev.running
-		clear(prev.restarts)
-		e.restarts = prev.restarts
-		clear(prev.scenarioDown)
-		e.scenarioDown = prev.scenarioDown
-		e.passCtx = prev.passCtx
-		e.passCtx.Reset()
-		e.startedIDs = prev.startedIDs[:0]
-		e.upScratch = prev.upScratch[:0]
-		e.rsPool = prev.rsPool
-		prev.rsPool = nil
 	}
 	e.attach()
 	e.bindHandlers()
@@ -688,15 +630,20 @@ func (e *Engine) onArrival(now int64, job *workload.Job) {
 		o.submit(now, job)
 	}
 	if !e.cfg.Scheduler.Feasible(job, e.m, e.cfg.Model) {
-		e.record(now, metrics.JobRecord{
-			ID: job.ID, User: job.User, Nodes: job.Nodes, Submit: job.Submit,
-			Estimate: job.Estimate, BaseRuntime: job.BaseRuntime,
-			MemPerNode: job.MemPerNode, Dilation: 1, Rejected: true,
-		}, false)
+		e.reject(now, job)
 		return
 	}
 	e.queue = append(e.queue, job)
 	e.requestPass()
+}
+
+// reject terminates job at now as one the scheduler can never start.
+func (e *Engine) reject(now int64, job *workload.Job) {
+	e.record(now, metrics.JobRecord{
+		ID: job.ID, User: job.User, Nodes: job.Nodes, Submit: job.Submit,
+		Estimate: job.Estimate, BaseRuntime: job.BaseRuntime,
+		MemPerNode: job.MemPerNode, Dilation: 1, Rejected: true,
+	}, false)
 }
 
 // requestPass coalesces all triggers at one instant into a single

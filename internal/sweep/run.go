@@ -34,10 +34,6 @@ type Options struct {
 	// concurrently (default GOMAXPROCS). A unit is one seed of a
 	// Cell.Run.
 	Workers int
-	// Retries is the per-unit retry budget after a panic inside a unit
-	// (default 1, i.e. up to two attempts). A unit that keeps panicking
-	// fails the sweep with the recovered value.
-	Retries int
 	// Ctx, when non-nil, cancels the sweep cooperatively: in-flight
 	// simulations stop at their next sample tick, pending units are
 	// skipped, and the sweep returns ErrInterrupted.
@@ -70,7 +66,7 @@ func (o Options) validate() error {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"Jobs", o.Jobs}, {"Seeds", o.Seeds}, {"Workers", o.Workers}, {"Retries", o.Retries}} {
+	}{{"Jobs", o.Jobs}, {"Seeds", o.Seeds}, {"Workers", o.Workers}} {
 		if f.v < 0 {
 			return fmt.Errorf("sweep: Options.%s is %d; want >= 0 (0 selects the default)", f.name, f.v)
 		}
@@ -87,9 +83,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Retries <= 0 {
-		o.Retries = 1
 	}
 	return o
 }
@@ -247,14 +240,12 @@ func (c Cell) Run(o Options) (Agg, error) {
 		}
 		units = append(units, s)
 	}
-	o.pool(units, outs, func(s int, r *dismem.Runner) seedOut {
-		h, err := c.newSeed(o, mc, s, r)
+	o.pool(units, outs, func(s int) seedOut {
+		h, err := c.newSeed(o, mc, s)
 		if err != nil {
 			return seedOut{err: err}
 		}
-		out := seedResult(h, s)
-		r.Retire(h)
-		return out
+		return seedResult(h, s)
 	})
 	if err := c.archive(o, mc, outs, specs); err != nil {
 		return Agg{}, err
@@ -271,14 +262,11 @@ func (c Cell) machine() dismem.MachineConfig {
 }
 
 // pool runs unit for every seed in seeds on a fixed pool of o.Workers
-// goroutines and stores each outcome in outs. Each worker owns one
-// dismem.Runner, so consecutive units on a worker recycle the previous
-// unit's machine and engine state instead of rebuilding them (see
-// dismem.Runner for the reuse contract). Units write only their own
-// slot, so the merge is in seed order, not completion order, and
+// goroutines and stores each outcome in outs. Units write only their
+// own slot, so the merge is in seed order, not completion order, and
 // nothing downstream depends on the worker count. Every completed unit
 // is reported to o.UnitDone.
-func (o Options) pool(seeds []int, outs []seedOut, unit func(s int, r *dismem.Runner) seedOut) {
+func (o Options) pool(seeds []int, outs []seedOut, unit func(s int) seedOut) {
 	workers := min(o.Workers, len(seeds))
 	feed := make(chan int)
 	var wg sync.WaitGroup
@@ -286,9 +274,8 @@ func (o Options) pool(seeds []int, outs []seedOut, unit func(s int, r *dismem.Ru
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := dismem.NewRunner()
 			for s := range feed {
-				outs[s] = o.runUnit(func() seedOut { return unit(s, r) })
+				outs[s] = o.runUnit(func() seedOut { return unit(s) })
 				if outs[s].err == nil && o.UnitDone != nil {
 					o.UnitDone()
 				}
@@ -434,7 +421,12 @@ func (c Cell) cellLabel(mc dismem.MachineConfig) string {
 	return fmt.Sprintf("%s/%s r%dx%d", c.Policy, model, mc.Racks, mc.NodesPerRack)
 }
 
-// runUnit runs one unit with the per-unit panic retry budget,
+// unitRetries is how often a unit is retried after a panic inside it,
+// so a unit gets up to two attempts. A unit that keeps panicking fails
+// the sweep with the recovered value.
+const unitRetries = 1
+
+// runUnit runs one unit with the unitRetries panic retry budget,
 // honouring cancellation before, during (via the abort observer), and
 // after the run.
 func (o Options) runUnit(unit func() seedOut) seedOut {
@@ -445,7 +437,7 @@ func (o Options) runUnit(unit func() seedOut) seedOut {
 		}
 		out = attemptUnit(unit)
 		var pe *unitPanicError
-		if out.err == nil || !errors.As(out.err, &pe) || attempt >= o.Retries {
+		if out.err == nil || !errors.As(out.err, &pe) || attempt >= unitRetries {
 			break
 		}
 	}
@@ -545,12 +537,12 @@ func (c Cell) seedOptions(o Options, mc dismem.MachineConfig, s int) (dismem.Opt
 	return opts, nil
 }
 
-// newSeed builds seed s's run on runner r (see seedOptions). With
-// StopWhen, or a cancellable sweep context, the run carries the abort
-// observer, sampled every SampleEvery simulated seconds (default 3600)
-// and wired to the returned handle; no event fires before that, since
+// newSeed builds seed s's run (see seedOptions). With StopWhen, or a
+// cancellable sweep context, the run carries the abort observer,
+// sampled every SampleEvery simulated seconds (default 3600) and wired
+// to the returned handle; no event fires before that, since
 // construction only primes the event queue.
-func (c Cell) newSeed(o Options, mc dismem.MachineConfig, s int, r *dismem.Runner) (*dismem.Simulation, error) {
+func (c Cell) newSeed(o Options, mc dismem.MachineConfig, s int) (*dismem.Simulation, error) {
 	opts, err := c.seedOptions(o, mc, s)
 	if err != nil {
 		return nil, err
@@ -563,7 +555,7 @@ func (c Cell) newSeed(o Options, mc dismem.MachineConfig, s int, r *dismem.Runne
 			opts.SampleEvery = 3600
 		}
 	}
-	h, err := r.NewSimulation(opts)
+	h, err := dismem.New(opts)
 	if err != nil {
 		return nil, err
 	}

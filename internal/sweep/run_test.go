@@ -202,8 +202,8 @@ func TestRegistryRunReturnsInterrupted(t *testing.T) {
 	}
 }
 
-// TestNegativeScaleRejected: a negative Jobs, Seeds, Workers or Retries
-// is an error that names the field, from sweep.Run and Cell.Run alike,
+// TestNegativeScaleRejected: a negative Jobs, Seeds or Workers is an
+// error that names the field, from sweep.Run and Cell.Run alike,
 // never a silent run at the default scale.
 func TestNegativeScaleRejected(t *testing.T) {
 	fields := []struct {
@@ -213,7 +213,6 @@ func TestNegativeScaleRejected(t *testing.T) {
 		{"Jobs", func(o *Options) { o.Jobs = -5 }},
 		{"Seeds", func(o *Options) { o.Seeds = -1 }},
 		{"Workers", func(o *Options) { o.Workers = -3 }},
-		{"Retries", func(o *Options) { o.Retries = -1 }},
 	}
 	runs := []struct {
 		name string

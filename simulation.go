@@ -30,17 +30,11 @@ type Simulation struct {
 // firing any event: the returned handle sits at virtual time 0 with
 // every arrival scheduled. Drive it with Step / RunUntil / Run and
 // collect the outcome with Result.
-func New(o Options) (*Simulation, error) { return newSimulation(o, nil) }
-
-// newSimulation builds a Simulation, optionally recycling a finished
-// prior engine's run-independent state (machine, event pool, scratch).
-// prev == nil is a plain fresh construction; see sim.NewReusing for
-// what reuse preserves and the bit-identity contract it keeps.
 //
 // The outputs belong to the run from this call on: a rejection before
 // an engine exists closes them here, and once one exists its close
 // latch does.
-func newSimulation(o Options, prev *sim.Engine) (*Simulation, error) {
+func New(o Options) (*Simulation, error) {
 	outs := sim.Outputs{Observer: o.Observer, RecordSink: o.RecordSink, SeriesSink: o.SeriesSink, TraceSink: o.TraceSink}
 	var eng *sim.Engine
 	rec, cfg, err := resolve(o)
@@ -53,7 +47,7 @@ func newSimulation(o Options, prev *sim.Engine) (*Simulation, error) {
 		err = fmt.Errorf("dismem: %w", err)
 	default:
 		cfg.Outputs = outs
-		eng, err = sim.NewReusing(cfg, prev)
+		eng, err = sim.New(cfg)
 	}
 	if err != nil {
 		_ = outs.Close()
