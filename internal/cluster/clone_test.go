@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"dismem/internal/stats"
@@ -147,5 +148,97 @@ func TestAllocationCloneIndependent(t *testing.T) {
 	c.Shares[0].Node = 5
 	if a.Shares[0].Node != 0 {
 		t.Fatal("mutating clone shares leaked into original")
+	}
+}
+
+// TestCloneArenaCapsEachAllocation: a clone copies its allocations into
+// shared arrays of shares and touched pools. Releasing and recycling
+// each cloned allocation in turn, then committing a job one node wider
+// (and touching one more pool) into the recycled struct, must leave
+// every other allocation's shares and touched pools as they were:
+// each allocation's sub-slices are capped at its own length, so the
+// wider copy reallocates instead of running into its neighbour.
+func TestCloneArenaCapsEachAllocation(t *testing.T) {
+	cfg := Config{Racks: 4, NodesPerRack: 4, CoresPerNode: 8,
+		LocalMemMiB: 4096, PoolMiB: 8192, FabricGiBps: 16,
+		TrafficGiBpsPerNode: 1, Topology: TopologyRack}
+	m := MustNew(cfg)
+	// Racks 0-2 hold one two-node job each, committed through the
+	// machine's free list with their touched pools cached; rack 3 stays
+	// free for the wider jobs.
+	const jobs = 3
+	for r := 0; r < jobs; r++ {
+		a := &Allocation{JobID: r + 1}
+		for k := 0; k < 2; k++ {
+			a.Shares = append(a.Shares, NodeShare{
+				Node: NodeID(r*cfg.NodesPerRack + k), LocalMiB: 1024, RemoteMiB: 512, Pool: PoolID(r),
+			})
+		}
+		c, err := m.AllocateCopy(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.TouchedPools()
+	}
+	type held struct {
+		shares []NodeShare
+		pools  []PoolID
+	}
+	snapshot := func(mm *Machine) map[int]held {
+		out := make(map[int]held)
+		for id, a := range mm.allocs {
+			out[id] = held{slices.Clone(a.Shares), slices.Clone(a.TouchedPools())}
+		}
+		return out
+	}
+	before := snapshot(m)
+
+	c := m.Clone()
+	spare := NodeID(3 * cfg.NodesPerRack)
+	for id := 1; id <= jobs; id++ {
+		a, ok := c.AllocationOf(id)
+		if !ok {
+			t.Fatalf("clone lost job %d", id)
+		}
+		wide := &Allocation{JobID: 100 + id, Shares: append(slices.Clone(a.Shares),
+			NodeShare{Node: spare, LocalMiB: 1024, RemoteMiB: 512, Pool: 3})}
+		if err := c.Release(id); err != nil {
+			t.Fatal(err)
+		}
+		c.Recycle(a)
+		others := snapshot(c)
+		got, err := c.AllocateCopy(wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != a {
+			t.Fatalf("job %d: AllocateCopy did not reuse the recycled clone allocation", id)
+		}
+		if !slices.Equal(got.Shares, wide.Shares) || len(got.TouchedPools()) != 2 {
+			t.Fatalf("job %d: wider copy has shares %v, pools %v", id, got.Shares, got.TouchedPools())
+		}
+		for oid, want := range others {
+			o, _ := c.AllocationOf(oid)
+			if !slices.Equal(o.Shares, want.shares) || !slices.Equal(o.TouchedPools(), want.pools) {
+				t.Fatalf("recycling job %d's clone allocation changed job %d: shares %v pools %v, want %v %v",
+					id, oid, o.Shares, o.TouchedPools(), want.shares, want.pools)
+			}
+		}
+		for name, mm := range map[string]*Machine{"clone": c, "original": m} {
+			if err := mm.CheckInvariants(); err != nil {
+				t.Fatalf("job %d: %s invariants: %v", id, name, err)
+			}
+		}
+		// Free the spare node for the next job.
+		if err := c.Release(got.JobID); err != nil {
+			t.Fatal(err)
+		}
+		c.Recycle(got)
+	}
+	for id, want := range before {
+		a, _ := m.AllocationOf(id)
+		if !slices.Equal(a.Shares, want.shares) || !slices.Equal(a.TouchedPools(), want.pools) {
+			t.Fatalf("the clone's reuse changed the original's job %d", id)
+		}
 	}
 }

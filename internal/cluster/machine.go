@@ -138,9 +138,8 @@ func (a *Allocation) TouchedPools() []PoolID {
 }
 
 // Clone returns a deep copy of the allocation: shares, cached sums and
-// the touched-pool list are all independent of the original, so a
-// cloned machine's allocations can be queried and released without
-// coordinating with the source machine.
+// the touched-pool list are all independent of the original, so the
+// copy can be kept past the original's release and recycling.
 func (a *Allocation) Clone() *Allocation {
 	c := *a
 	c.Shares = append([]NodeShare(nil), a.Shares...)
@@ -259,11 +258,18 @@ func (m *Machine) clearFree(id NodeID) { m.freeBits[id>>6] &^= 1 << (uint(id) & 
 
 // Clone returns a deep copy of the machine: nodes, pools, every
 // incremental aggregate, the degraded-pool flags and all committed
-// allocations (each deep-copied via Allocation.Clone, so the clone's
-// allocations can be looked up by job ID and released independently).
-// It is the state-capture half of simulation checkpointing; a clone
-// passes CheckInvariants whenever the original does, and mutating
-// either machine never affects the other.
+// allocations, so the clone's allocations can be looked up by job ID
+// and released independently. It is the state-capture half of
+// simulation checkpointing; a clone passes CheckInvariants whenever the
+// original does, and mutating either machine never affects the other.
+//
+// The allocations are copied into three arrays, one each of
+// allocations, shares and touched pools, so a clone costs the same
+// few allocations however many jobs run. Each allocation's Shares and
+// touched-pool list is a sub-slice capped at its own length: when the
+// clone recycles a released allocation and AllocateCopy reuses it for
+// a wider job, the append reallocates instead of running into the next
+// allocation's shares.
 func (m *Machine) Clone() *Machine {
 	c := &Machine{
 		cfg:          m.cfg,
@@ -286,8 +292,26 @@ func (m *Machine) Clone() *Machine {
 		poolNeed:  make([]int64, len(m.pools)),
 		poolsHit:  make([]PoolID, 0, len(m.pools)),
 	}
+	nShares, nPools := 0, 0
+	for _, a := range m.allocs {
+		nShares += len(a.Shares)
+		nPools += len(a.pools)
+	}
+	allocs := make([]Allocation, len(m.allocs))
+	shares := make([]NodeShare, 0, nShares)
+	pools := make([]PoolID, 0, nPools)
+	i := 0
 	for id, a := range m.allocs {
-		c.allocs[id] = a.Clone()
+		ca := &allocs[i]
+		i++
+		*ca = *a
+		lo := len(shares)
+		shares = append(shares, a.Shares...)
+		ca.Shares = shares[lo:len(shares):len(shares)]
+		lo = len(pools)
+		pools = append(pools, a.pools...)
+		ca.pools = pools[lo:len(pools):len(pools)]
+		c.allocs[id] = ca
 	}
 	return c
 }

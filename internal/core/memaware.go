@@ -69,14 +69,12 @@ type MemAware struct {
 
 	// Per-call scratch reused across Plan invocations (the policy is
 	// single-simulation state, like the machine it schedules). The plan
-	// Plan returns aliases this scratch: per the Placer contract it is
-	// valid only until the next Plan call, and callers commit it with
+	// Plan returns aliases scratch: per the Placer contract it is valid
+	// only until the next Plan call, and callers commit it with
 	// Machine.AllocateCopy.
 	eligScratch  []rackView
 	quotaScratch []int
-	shareScratch []cluster.NodeShare
-	allocScratch cluster.Allocation
-	planScratch  sched.Plan
+	scratch      sched.PlanScratch
 }
 
 // New returns the policy with the paper's default knobs: cap 1.5,
@@ -108,7 +106,7 @@ func (p *MemAware) Feasible(job *workload.Job, m *cluster.Machine, model memmode
 	if cfg.Topology == cluster.TopologyNone {
 		return false
 	}
-	if !(sched.Spill{}).Feasible(job, m, model) {
+	if !(&sched.Spill{}).Feasible(job, m, model) {
 		return false
 	}
 	if p.SlowdownCap > 0 && model != nil {
@@ -176,8 +174,7 @@ func (p *MemAware) Plan(job *workload.Job, m *cluster.Machine, model memmodel.Mo
 		// Admission control: wait rather than run pathologically slow.
 		return nil
 	}
-	p.planScratch = sched.Plan{Alloc: alloc, Dilation: d}
-	return &p.planScratch
+	return p.scratch.Plan(d)
 }
 
 // rackView is the per-rack state the selection heuristics score.
@@ -292,8 +289,7 @@ func (p *MemAware) planLocal(job *workload.Job, m *cluster.Machine) *sched.Plan 
 	if p.Balance {
 		views = p.poolPoor(m)
 	}
-	shares := p.shareScratch[:0]
-	defer func() { p.shareScratch = shares[:0] }()
+	shares := p.scratch.Shares(job.Nodes)
 	for _, v := range views {
 		if v.freeNodes == 0 {
 			continue
@@ -305,19 +301,11 @@ func (p *MemAware) planLocal(job *workload.Job, m *cluster.Machine) *sched.Plan 
 			return len(shares) < job.Nodes
 		})
 		if len(shares) == job.Nodes {
-			return p.scratchPlan(job.ID, shares, 1)
+			p.scratch.Alloc(job.ID, shares)
+			return p.scratch.Plan(1)
 		}
 	}
 	return nil
-}
-
-// scratchPlan assembles the policy's scratch plan around shares. The
-// whole-struct reassignment of the scratch allocation resets its cached
-// aggregate sums from the previous call.
-func (p *MemAware) scratchPlan(jobID int, shares []cluster.NodeShare, dilation float64) *sched.Plan {
-	p.allocScratch = cluster.Allocation{JobID: jobID, Shares: shares}
-	p.planScratch = sched.Plan{Alloc: &p.allocScratch, Dilation: dilation}
-	return &p.planScratch
 }
 
 // planSpill builds the node set for a job that must borrow remote MiB
@@ -405,8 +393,7 @@ func (p *MemAware) planSpill(job *workload.Job, m *cluster.Machine, local, remot
 		}
 	}
 
-	shares := p.shareScratch[:0]
-	defer func() { p.shareScratch = shares[:0] }()
+	shares := p.scratch.Shares(job.Nodes)
 	for i, v := range eligible {
 		if quota[i] == 0 {
 			continue
@@ -423,8 +410,7 @@ func (p *MemAware) planSpill(job *workload.Job, m *cluster.Machine, local, remot
 			return nil // machine changed underneath us: planner bug
 		}
 	}
-	p.allocScratch = cluster.Allocation{JobID: job.ID, Shares: shares}
-	return &p.allocScratch
+	return p.scratch.Alloc(job.ID, shares)
 }
 
 func mustPool(m *cluster.Machine, id cluster.PoolID) cluster.Pool {

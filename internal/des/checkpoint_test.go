@@ -128,3 +128,68 @@ func TestRestoreRejectsPastEvents(t *testing.T) {
 		t.Fatal("Restore accepted an event before the clock, want error")
 	}
 }
+
+// chain records the order its events fire in; each event with an ID
+// below limit schedules a follow-up with ID id+step.
+type chain struct {
+	s           *Simulator
+	h           Handler
+	order       []int
+	limit, step int
+}
+
+func newChain(s *Simulator, limit, step int) *chain {
+	c := &chain{s: s, limit: limit, step: step}
+	c.h = func(now Time, data any) {
+		id := data.(int)
+		c.order = append(c.order, id)
+		if id < c.limit {
+			c.s.ScheduleKind(now+Time(id%7), 1, id+c.step, c.h)
+		}
+	}
+	return c
+}
+
+// TestRestoreFromOneArray: Restore draws its events from one array on
+// the free list. A restored queue of many events, some at one instant
+// in both bands, each of whose handlers schedules a follow-up (so the
+// array's elements are recycled and reused), must fire in exactly the
+// original's order; and a restore's allocations must not grow with the
+// number of records.
+func TestRestoreFromOneArray(t *testing.T) {
+	const n, gens = 300, 3
+	orig := newChain(New(), gens*n, n)
+	for i := 0; i < n; i++ {
+		at := Time(i % 13)
+		if i%5 == 0 {
+			orig.s.ScheduleFrontKind(at, 2, i, orig.h)
+		} else {
+			orig.s.ScheduleKind(at, 1, i, orig.h)
+		}
+	}
+	recs, err := orig.s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := newChain(nil, gens*n, n)
+	if restored.s, _, err = Restore(0, 0, recs, func(EventRecord) Handler { return restored.h }); err != nil {
+		t.Fatal(err)
+	}
+	orig.s.RunAll()
+	restored.s.RunAll()
+	if len(orig.order) != (gens+1)*n || !reflect.DeepEqual(restored.order, orig.order) {
+		t.Fatalf("restored queue fired %d events, original %d (same order: %v)",
+			len(restored.order), len(orig.order), reflect.DeepEqual(restored.order, orig.order))
+	}
+
+	restoreAllocs := func(k int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := Restore(0, 0, recs[:k], func(EventRecord) Handler { return orig.h }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := restoreAllocs(2), restoreAllocs(n); many != few {
+		t.Fatalf("Restore of %d records allocates %.0f times, of 2 records %.0f: allocations grow with the record count", n, many, few)
+	}
+}

@@ -325,8 +325,20 @@ func (s *Simulator) Snapshot() ([]EventRecord, error) {
 // the record (for restores that deliberately discard an event family).
 // The returned slice is aligned with recs — nil where dropped — so
 // callers can rewire the event handles they track.
+//
+// The restored events come from one array handed to the free list, and
+// the heap is presized, so a restore costs the same few allocations
+// however many events it holds. An element whose record is dropped
+// stays on the free list for a later schedule.
 func Restore(now Time, fired uint64, recs []EventRecord, rebuild func(EventRecord) Handler) (*Simulator, []*Event, error) {
-	s := &Simulator{now: now, fired: fired}
+	s := &Simulator{now: now, fired: fired, queue: make(eventHeap, 0, len(recs))}
+	arena := make([]Event, len(recs))
+	s.pool = make([]*Event, len(recs))
+	for i := range arena {
+		// Schedules pop the pool's end, so the records draw the
+		// array in order.
+		s.pool[len(recs)-1-i] = &arena[i]
+	}
 	events := make([]*Event, len(recs))
 	for i, r := range recs {
 		if r.Time < now {

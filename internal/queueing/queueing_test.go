@@ -124,7 +124,7 @@ func TestSimulatorMatchesErlangC(t *testing.T) {
 			},
 			Model: memmodel.Linear{Beta: 0},
 			Scheduler: &sched.Batch{
-				Order: sched.FCFS{}, Backfill: sched.BackfillNone, Placer: sched.LocalOnly{},
+				Order: sched.FCFS{}, Backfill: sched.BackfillNone, Placer: &sched.LocalOnly{},
 			},
 		}, w)
 		if err != nil {

@@ -47,8 +47,8 @@ func timedJob(id, nodes int, mem, estimate int64) *workload.Job {
 
 func TestBackfillNoneBlocksBehindHead(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(0))
-	b := &Batch{Order: FCFS{}, Backfill: BackfillNone, Placer: LocalOnly{}}
-	running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
+	b := &Batch{Order: FCFS{}, Backfill: BackfillNone, Placer: &LocalOnly{}}
+	running := []RunningJob{startRunning(t, m, &LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
 	ctx := &Context{
 		Now: 0, Machine: m, Queue: []*workload.Job{
 			timedJob(1, 4, 100, 50), // blocked: only 1 node free
@@ -64,9 +64,9 @@ func TestBackfillNoneBlocksBehindHead(t *testing.T) {
 
 func TestEASYBackfillShortJob(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(0))
-	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: LocalOnly{}}
+	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: &LocalOnly{}}
 	// Job 90 holds 3 nodes until t=100 → head (4 nodes) has shadow 100.
-	running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
+	running := []RunningJob{startRunning(t, m, &LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
 	ctx := &Context{
 		Now: 0, Machine: m, Queue: []*workload.Job{
 			timedJob(1, 4, 100, 500), // head, blocked
@@ -86,10 +86,10 @@ func TestEASYBackfillShortJob(t *testing.T) {
 
 func TestEASYBackfillUsesExtraNodes(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(0))
-	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: LocalOnly{}}
+	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: &LocalOnly{}}
 	// Job 90 holds 2 nodes until t=100; head needs 3.
 	// At shadow: free = 2 (now) + 2 (freed) = 4; extra = 4 - 3 = 1.
-	running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 2, 100, 100), 0, 100)}
+	running := []RunningJob{startRunning(t, m, &LocalOnly{}, timedJob(90, 2, 100, 100), 0, 100)}
 	ctx := &Context{
 		Now: 0, Machine: m, Queue: []*workload.Job{
 			timedJob(1, 3, 100, 500),  // head, blocked (2 free)
@@ -106,7 +106,7 @@ func TestEASYBackfillUsesExtraNodes(t *testing.T) {
 
 func TestEASYDispatchesInOrderBeforeBlock(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(0))
-	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: LocalOnly{}}
+	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: &LocalOnly{}}
 	ctx := &Context{
 		Now: 5, Machine: m, Queue: []*workload.Job{
 			timedJob(1, 2, 100, 100),
@@ -121,10 +121,10 @@ func TestEASYDispatchesInOrderBeforeBlock(t *testing.T) {
 
 func TestEASYPoolReservationProtected(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(1000))
-	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: Spill{}}
+	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: &Spill{}}
 	// Fixture job holds 1 node + 600 MiB pool until t=100.
 	fix := timedJob(90, 1, 1600, 100)
-	plan := (Spill{}).Plan(fix, m, nil)
+	plan := (&Spill{}).Plan(fix, m, nil)
 	if plan == nil || plan.Alloc.RemoteMiB() != 600 {
 		t.Fatalf("fixture plan = %+v", plan)
 	}
@@ -169,7 +169,7 @@ func TestEASYShadowNowOnFragmentation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: Spill{}}
+	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: &Spill{}}
 	alloc0, _ := m.AllocationOf(90)
 	alloc1, _ := m.AllocationOf(91)
 	ctx := &Context{
@@ -191,9 +191,9 @@ func TestEASYShadowNowOnFragmentation(t *testing.T) {
 
 func TestConservativePass(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(0))
-	b := &Batch{Order: FCFS{}, Backfill: BackfillConservative, Placer: LocalOnly{}}
+	b := &Batch{Order: FCFS{}, Backfill: BackfillConservative, Placer: &LocalOnly{}}
 	// Job 90 holds 2 nodes until t=100.
-	running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 2, 100, 100), 0, 100)}
+	running := []RunningJob{startRunning(t, m, &LocalOnly{}, timedJob(90, 2, 100, 100), 0, 100)}
 	ctx := &Context{
 		Now: 0, Machine: m, Queue: []*workload.Job{
 			timedJob(1, 4, 100, 100), // reserved at t=100
@@ -210,8 +210,8 @@ func TestConservativePass(t *testing.T) {
 
 func TestConservativeRespectsEarlierReservationChain(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(0))
-	b := &Batch{Order: FCFS{}, Backfill: BackfillConservative, Placer: LocalOnly{}}
-	running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
+	b := &Batch{Order: FCFS{}, Backfill: BackfillConservative, Placer: &LocalOnly{}}
+	running := []RunningJob{startRunning(t, m, &LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
 	// J1 reserved at 100 (4 nodes, dur 100); J2 reserved at 200; a job
 	// fitting only by delaying J2 must not start.
 	ctx := &Context{
@@ -230,8 +230,8 @@ func TestConservativeRespectsEarlierReservationChain(t *testing.T) {
 
 func TestConservativeMaxReservations(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(0))
-	b := &Batch{Order: FCFS{}, Backfill: BackfillConservative, Placer: LocalOnly{}, MaxReservations: 1}
-	running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
+	b := &Batch{Order: FCFS{}, Backfill: BackfillConservative, Placer: &LocalOnly{}, MaxReservations: 1}
+	running := []RunningJob{startRunning(t, m, &LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
 	ctx := &Context{
 		Now: 0, Machine: m, Queue: []*workload.Job{
 			timedJob(1, 4, 100, 100), // planned (reservation 1)
@@ -246,8 +246,8 @@ func TestConservativeMaxReservations(t *testing.T) {
 
 func TestEASYMaxBackfillScan(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(0))
-	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: LocalOnly{}, MaxBackfillScan: 1}
-	running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
+	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: &LocalOnly{}, MaxBackfillScan: 1}
+	running := []RunningJob{startRunning(t, m, &LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
 	ctx := &Context{
 		Now: 0, Machine: m, Queue: []*workload.Job{
 			timedJob(1, 4, 100, 500), // head
@@ -262,7 +262,7 @@ func TestEASYMaxBackfillScan(t *testing.T) {
 }
 
 func TestBatchNameAndFeasible(t *testing.T) {
-	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: LocalOnly{}}
+	b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: &LocalOnly{}}
 	if b.Name() != "fcfs+easy+local" {
 		t.Fatalf("derived name = %q", b.Name())
 	}
@@ -316,7 +316,7 @@ type lyingPlacer struct {
 	liar int
 }
 
-func (p lyingPlacer) Plan(job *workload.Job, m *cluster.Machine, model memmodel.Model) *Plan {
+func (p *lyingPlacer) Plan(job *workload.Job, m *cluster.Machine, model memmodel.Model) *Plan {
 	if job.ID == p.liar && m.FreeNodes() < job.Nodes {
 		return &Plan{Alloc: &cluster.Allocation{JobID: job.ID}, Dilation: 1}
 	}
@@ -329,10 +329,10 @@ func (p lyingPlacer) Plan(job *workload.Job, m *cluster.Machine, model memmodel.
 func TestBackfillSkipChecksPlacerContract(t *testing.T) {
 	pass := func(check bool) []Dispatch {
 		m := cluster.MustNew(oneRackConfig(0))
-		b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: lyingPlacer{liar: 2}}
+		b := &Batch{Order: FCFS{}, Backfill: BackfillEASY, Placer: &lyingPlacer{liar: 2}}
 		// Job 90 holds 3 nodes until t=100, so the head's shadow is 100
 		// and one node is free.
-		running := []RunningJob{startRunning(t, m, LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
+		running := []RunningJob{startRunning(t, m, &LocalOnly{}, timedJob(90, 3, 100, 100), 0, 100)}
 		ctx := &Context{
 			Now: 0, Machine: m, Queue: []*workload.Job{
 				timedJob(1, 4, 100, 500), // head, blocked

@@ -151,7 +151,7 @@ type refuse struct {
 	id int
 }
 
-func (p refuse) Plan(j *workload.Job, m *cluster.Machine, model memmodel.Model) *sched.Plan {
+func (p *refuse) Plan(j *workload.Job, m *cluster.Machine, model memmodel.Model) *sched.Plan {
 	if j.ID == p.id {
 		return nil
 	}
@@ -184,7 +184,7 @@ func passAt(t *testing.T, b *sched.Batch, m *cluster.Machine, model memmodel.Mod
 // resumed.
 func testResumeAfterHoldAtNow(t *testing.T) {
 	m := cluster.MustNew(cluster.Config{Racks: 1, NodesPerRack: 3, CoresPerNode: 8, LocalMemMiB: 1000})
-	b := &sched.Batch{Order: sched.FCFS{}, Backfill: sched.BackfillConservative, Placer: refuse{id: 1}}
+	b := &sched.Batch{Order: sched.FCFS{}, Backfill: sched.BackfillConservative, Placer: &refuse{id: 1}}
 	job := func(id, nodes int, submit int64) *workload.Job {
 		return &workload.Job{ID: id, Nodes: nodes, MemPerNode: 100, Submit: submit, Estimate: 100, BaseRuntime: 100}
 	}
@@ -210,12 +210,12 @@ func testResumeAfterPatienceSkip(t *testing.T) {
 	})
 	model := memmodel.Linear{Beta: 0.5}
 	holder := &workload.Job{ID: 90, Nodes: 2, MemPerNode: 100, Estimate: 1000, BaseRuntime: 1000}
-	plan := sched.LocalOnly{}.Plan(holder, m, model)
+	plan := (&sched.LocalOnly{}).Plan(holder, m, model)
 	if err := m.Allocate(plan.Alloc); err != nil {
 		t.Fatal(err)
 	}
 	running := []sched.RunningJob{{Job: holder, Start: 0, Limit: 1000, Alloc: plan.Alloc}}
-	b := &sched.Batch{Order: sched.FCFS{}, Backfill: sched.BackfillEASY, Placer: sched.Spill{}, SpillPatience: 50}
+	b := &sched.Batch{Order: sched.FCFS{}, Backfill: sched.BackfillEASY, Placer: &sched.Spill{}, SpillPatience: 50}
 	q := []*workload.Job{
 		{ID: 1, Nodes: 1, MemPerNode: 1500, Estimate: 100, BaseRuntime: 100},
 		{ID: 2, Nodes: 4, MemPerNode: 100, Estimate: 100, BaseRuntime: 100},
@@ -254,7 +254,7 @@ func testResumeWithEndAtNow(t *testing.T) {
 	if err := m.SetPoolCapacity(0, 500); err != nil {
 		t.Fatal(err)
 	}
-	b := &sched.Batch{Order: sched.FCFS{}, Backfill: sched.BackfillConservative, Placer: sched.Spill{}}
+	b := &sched.Batch{Order: sched.FCFS{}, Backfill: sched.BackfillConservative, Placer: &sched.Spill{}}
 	q := []*workload.Job{{ID: 1, Nodes: 1, MemPerNode: 1500, Estimate: 100, BaseRuntime: 100}}
 	if got := passAt(t, b, m, nil, 50, q, running); len(got) != 0 {
 		t.Fatalf("pass at 50 started %v", got)

@@ -20,7 +20,7 @@ func spillJob(id int, submit int64) *workload.Job {
 func TestSpillPatienceDelaysDilatedPlacement(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(4000))
 	b := &Batch{
-		Order: FCFS{}, Backfill: BackfillEASY, Placer: Spill{},
+		Order: FCFS{}, Backfill: BackfillEASY, Placer: &Spill{},
 		SpillPatience: 600,
 	}
 	model := memmodel.Linear{Beta: 1}
@@ -44,7 +44,7 @@ func TestSpillPatienceDelaysDilatedPlacement(t *testing.T) {
 func TestSpillPatienceDoesNotDelayLocalJobs(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(4000))
 	b := &Batch{
-		Order: FCFS{}, Backfill: BackfillEASY, Placer: Spill{},
+		Order: FCFS{}, Backfill: BackfillEASY, Placer: &Spill{},
 		SpillPatience: 600,
 	}
 	ctx := &Context{
@@ -59,7 +59,7 @@ func TestSpillPatienceDoesNotDelayLocalJobs(t *testing.T) {
 func TestSpillPatienceDoesNotBlockQueue(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(4000))
 	b := &Batch{
-		Order: FCFS{}, Backfill: BackfillEASY, Placer: Spill{},
+		Order: FCFS{}, Backfill: BackfillEASY, Placer: &Spill{},
 		SpillPatience: 600,
 	}
 	// Patient head must not stop the local job behind it.
@@ -79,13 +79,13 @@ func TestSpillPatienceDoesNotBlockQueue(t *testing.T) {
 func TestMaxPerUserThrottle(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(0))
 	b := &Batch{
-		Order: FCFS{}, Backfill: BackfillEASY, Placer: LocalOnly{},
+		Order: FCFS{}, Backfill: BackfillEASY, Placer: &LocalOnly{},
 		MaxPerUser: 1,
 	}
 	// User 7 already has one running job.
 	running := timedJob(90, 1, 100, 100)
 	running.User = 7
-	rj := startRunning(t, m, LocalOnly{}, running, 0, 100)
+	rj := startRunning(t, m, &LocalOnly{}, running, 0, 100)
 
 	sameUser := timedJob(1, 1, 100, 100)
 	sameUser.User = 7
@@ -105,12 +105,12 @@ func TestMaxPerUserThrottle(t *testing.T) {
 func TestMaxPerUserConservativeSkipsWithoutReserving(t *testing.T) {
 	m := cluster.MustNew(oneRackConfig(0))
 	b := &Batch{
-		Order: FCFS{}, Backfill: BackfillConservative, Placer: LocalOnly{},
+		Order: FCFS{}, Backfill: BackfillConservative, Placer: &LocalOnly{},
 		MaxPerUser: 1,
 	}
 	running := timedJob(90, 1, 100, 100)
 	running.User = 7
-	rj := startRunning(t, m, LocalOnly{}, running, 0, 100)
+	rj := startRunning(t, m, &LocalOnly{}, running, 0, 100)
 
 	throttled := timedJob(1, 3, 100, 100)
 	throttled.User = 7
@@ -137,7 +137,7 @@ func TestMaxPerUserCountsJobsStartedInThePass(t *testing.T) {
 	for _, mode := range []BackfillMode{BackfillNone, BackfillEASY, BackfillConservative} {
 		t.Run(mode.String(), func(t *testing.T) {
 			m := cluster.MustNew(oneRackConfig(0))
-			b := &Batch{Order: FCFS{}, Backfill: mode, Placer: LocalOnly{}, MaxPerUser: 1}
+			b := &Batch{Order: FCFS{}, Backfill: mode, Placer: &LocalOnly{}, MaxPerUser: 1}
 			var q []*workload.Job
 			for id := 1; id <= 3; id++ {
 				j := timedJob(id, 1, 100, 100)

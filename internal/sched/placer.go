@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dismem/internal/cluster"
 	"dismem/internal/memmodel"
@@ -100,28 +101,46 @@ func RemoteNeed(job *workload.Job, m *cluster.Machine) int64 {
 	return RemoteNeedPerNode(job, m) * int64(job.Nodes)
 }
 
-// LocalOnly places jobs exclusively in node-local DRAM: the
-// conventional-machine baseline. Jobs whose footprint exceeds local
-// DRAM never start.
-type LocalOnly struct{}
-
-// Name implements Placer.
-func (LocalOnly) Name() string { return "local" }
-
-// Feasible implements Placer.
-func (LocalOnly) Feasible(job *workload.Job, m *cluster.Machine, _ memmodel.Model) bool {
-	return job.Nodes <= m.Config().TotalNodes() && job.MemPerNode <= m.Config().LocalMemMiB
+// PlanScratch is the plan storage a placer reuses across Plan calls:
+// a share slice, an allocation and a plan. The plan it returns is valid
+// only until the placer's next Plan call (see Placer); callers commit
+// it with Machine.AllocateCopy.
+type PlanScratch struct {
+	shares []cluster.NodeShare
+	alloc  cluster.Allocation
+	plan   Plan
 }
 
-// PlanDilation implements Placer: local placements never dilate.
-func (LocalOnly) PlanDilation(*workload.Job, *cluster.Machine, memmodel.Model) float64 { return 1 }
-
-// Plan implements Placer with first-fit over node IDs.
-func (LocalOnly) Plan(job *workload.Job, m *cluster.Machine, _ memmodel.Model) *Plan {
-	if job.MemPerNode > m.Config().LocalMemMiB || m.FreeNodes() < job.Nodes {
-		return nil
+// Shares returns the share slice, emptied, with room for n shares. A
+// placer asks for job.Nodes, the most it appends, so no append
+// reallocates: the capacity a Plan needs is kept whether it places the
+// job or fails part-way.
+func (s *PlanScratch) Shares(n int) []cluster.NodeShare {
+	if cap(s.shares) < n {
+		s.shares = make([]cluster.NodeShare, 0, n)
 	}
-	shares := make([]cluster.NodeShare, 0, job.Nodes)
+	return s.shares[:0]
+}
+
+// Alloc returns jobID's scratch allocation over shares, which must
+// have been appended to the slice Shares returned. The whole-struct
+// assignment resets the cached sums of the previous call's allocation.
+func (s *PlanScratch) Alloc(jobID int, shares []cluster.NodeShare) *cluster.Allocation {
+	s.alloc = cluster.Allocation{JobID: jobID, Shares: shares}
+	return &s.alloc
+}
+
+// Plan returns the scratch plan of the scratch allocation.
+func (s *PlanScratch) Plan(dilation float64) *Plan {
+	s.plan = Plan{Alloc: &s.alloc, Dilation: dilation}
+	return &s.plan
+}
+
+// firstFit places job in local DRAM on the lowest-numbered free nodes,
+// or returns nil if fewer than job.Nodes are free. The caller has
+// checked that the job's footprint fits local DRAM.
+func (s *PlanScratch) firstFit(job *workload.Job, m *cluster.Machine) *Plan {
+	shares := s.Shares(job.Nodes)
 	m.ForEachFree(func(id cluster.NodeID) bool {
 		shares = append(shares, cluster.NodeShare{
 			Node: id, LocalMiB: job.MemPerNode, Pool: cluster.NoPool,
@@ -131,23 +150,67 @@ func (LocalOnly) Plan(job *workload.Job, m *cluster.Machine, _ memmodel.Model) *
 	if len(shares) < job.Nodes {
 		return nil
 	}
-	return &Plan{
-		Alloc:    &cluster.Allocation{JobID: job.ID, Shares: shares},
-		Dilation: 1,
+	s.Alloc(job.ID, shares)
+	return s.Plan(1)
+}
+
+// LocalOnly places jobs exclusively in node-local DRAM: the
+// conventional-machine baseline. Jobs whose footprint exceeds local
+// DRAM never start. Its plans are scratch (see Placer), so each
+// scheduler needs its own.
+type LocalOnly struct {
+	scratch PlanScratch
+}
+
+// Name implements Placer.
+func (*LocalOnly) Name() string { return "local" }
+
+// Feasible implements Placer.
+func (*LocalOnly) Feasible(job *workload.Job, m *cluster.Machine, _ memmodel.Model) bool {
+	return job.Nodes <= m.Config().TotalNodes() && job.MemPerNode <= m.Config().LocalMemMiB
+}
+
+// PlanDilation implements Placer: local placements never dilate.
+func (*LocalOnly) PlanDilation(*workload.Job, *cluster.Machine, memmodel.Model) float64 { return 1 }
+
+// Plan implements Placer with first-fit over node IDs.
+func (p *LocalOnly) Plan(job *workload.Job, m *cluster.Machine, _ memmodel.Model) *Plan {
+	if job.MemPerNode > m.Config().LocalMemMiB || m.FreeNodes() < job.Nodes {
+		return nil
 	}
+	return p.scratch.firstFit(job, m)
 }
 
 // Spill is the disaggregation-oblivious policy: fill local DRAM first
 // and overflow the remainder into the node's pool whenever the pool has
 // space, ignoring the slowdown this inflicts. It is the "just use the
-// pool" strawman the memory-aware scheduler is compared against.
-type Spill struct{}
+// pool" strawman the memory-aware scheduler is compared against. Its
+// plans are scratch (see Placer), so each scheduler needs its own.
+type Spill struct {
+	scratch  PlanScratch
+	racks    []spillRack
+	poolLeft []int64
+}
+
+// spillRack is one rack as Spill.Plan orders them.
+type spillRack struct {
+	rack int
+	pool cluster.PoolID
+	free int64
+}
+
+// bySpillOrder orders racks most free pool first, then by rack index: a
+// strict total order, so sorting with it gives the order a stable sort
+// on free pool alone would.
+func bySpillOrder(a, b spillRack) int {
+	return cmp.Or(cmp.Compare(b.free, a.free), cmp.Compare(a.rack, b.rack))
+}
 
 // Name implements Placer.
-func (Spill) Name() string { return "spill" }
+func (*Spill) Name() string { return "spill" }
 
 // Feasible implements Placer.
-func (Spill) Feasible(job *workload.Job, m *cluster.Machine, _ memmodel.Model) bool {
+func (*Spill) Feasible(job *workload.Job, m *cluster.Machine, _ memmodel.Model) bool {
 	cfg := m.Config()
 	if job.Nodes > cfg.TotalNodes() {
 		return false
@@ -174,7 +237,7 @@ func (Spill) Feasible(job *workload.Job, m *cluster.Machine, _ memmodel.Model) b
 
 // PlanDilation implements Placer: the unavoidable remote fraction at
 // current congestion.
-func (Spill) PlanDilation(job *workload.Job, m *cluster.Machine, model memmodel.Model) float64 {
+func (*Spill) PlanDilation(job *workload.Job, m *cluster.Machine, model memmodel.Model) float64 {
 	if model == nil || job.MemPerNode == 0 {
 		return 1
 	}
@@ -190,7 +253,7 @@ func (Spill) PlanDilation(job *workload.Job, m *cluster.Machine, model memmodel.
 
 // Plan implements Placer: first-fit over racks ordered by descending
 // free pool capacity, so overflow lands where space exists.
-func (Spill) Plan(job *workload.Job, m *cluster.Machine, model memmodel.Model) *Plan {
+func (p *Spill) Plan(job *workload.Job, m *cluster.Machine, model memmodel.Model) *Plan {
 	cfg := m.Config()
 	if m.FreeNodes() < job.Nodes {
 		return nil
@@ -201,39 +264,30 @@ func (Spill) Plan(job *workload.Job, m *cluster.Machine, model memmodel.Model) *
 	}
 	remote := job.MemPerNode - local
 	if remote == 0 {
-		return LocalOnly{}.Plan(job, m, model)
+		return p.scratch.firstFit(job, m)
 	}
 	if cfg.Topology == cluster.TopologyNone {
 		return nil
 	}
 
-	// Rack order: most free pool first; stable on rack index.
-	type rackInfo struct {
-		rack int
-		pool cluster.PoolID
-		free int64
-	}
-	racks := make([]rackInfo, 0, cfg.Racks)
 	pools := m.Pools()
+	racks := p.racks[:0]
 	for r := 0; r < cfg.Racks; r++ {
 		pid := cluster.PoolID(0)
 		if cfg.Topology == cluster.TopologyRack {
 			pid = cluster.PoolID(r)
 		}
-		racks = append(racks, rackInfo{rack: r, pool: pid, free: pools[pid].FreeMiB()})
+		racks = append(racks, spillRack{rack: r, pool: pid, free: pools[pid].FreeMiB()})
 	}
-	sort.SliceStable(racks, func(i, j int) bool {
-		if racks[i].free != racks[j].free {
-			return racks[i].free > racks[j].free
-		}
-		return racks[i].rack < racks[j].rack
-	})
+	slices.SortFunc(racks, bySpillOrder)
+	p.racks = racks
 
-	shares := make([]cluster.NodeShare, 0, job.Nodes)
-	poolLeft := make([]int64, len(pools))
-	for i, p := range pools {
-		poolLeft[i] = p.FreeMiB()
+	poolLeft := p.poolLeft[:0]
+	for _, pl := range pools {
+		poolLeft = append(poolLeft, pl.FreeMiB())
 	}
+	p.poolLeft = poolLeft
+	shares := p.scratch.Shares(job.Nodes)
 	for _, ri := range racks {
 		if poolLeft[ri.pool] < remote {
 			continue
@@ -255,8 +309,8 @@ func (Spill) Plan(job *workload.Job, m *cluster.Machine, model memmodel.Model) *
 	if len(shares) < job.Nodes {
 		return nil
 	}
-	alloc := &cluster.Allocation{JobID: job.ID, Shares: shares}
-	return &Plan{Alloc: alloc, Dilation: PredictDilation(alloc, m, model)}
+	alloc := p.scratch.Alloc(job.ID, shares)
+	return p.scratch.Plan(PredictDilation(alloc, m, model))
 }
 
 func max64(a, b int64) int64 {

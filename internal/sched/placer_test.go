@@ -31,7 +31,7 @@ func job(id, nodes int, mem int64) *workload.Job {
 func TestLocalOnlyPlan(t *testing.T) {
 	m := cluster.MustNew(placerConfig())
 	model := memmodel.Linear{Beta: 0.5}
-	p := LocalOnly{}.Plan(job(1, 3, 800), m, model)
+	p := (&LocalOnly{}).Plan(job(1, 3, 800), m, model)
 	if p == nil {
 		t.Fatal("plan failed on an idle machine")
 	}
@@ -50,30 +50,30 @@ func TestLocalOnlyPlan(t *testing.T) {
 
 func TestLocalOnlyRejectsBigMemory(t *testing.T) {
 	m := cluster.MustNew(placerConfig())
-	if (LocalOnly{}).Plan(job(1, 1, 1500), m, nil) != nil {
+	if (&LocalOnly{}).Plan(job(1, 1, 1500), m, nil) != nil {
 		t.Fatal("planned a job whose footprint exceeds local DRAM")
 	}
-	if (LocalOnly{}).Feasible(job(1, 1, 1500), m, nil) {
+	if (&LocalOnly{}).Feasible(job(1, 1, 1500), m, nil) {
 		t.Fatal("big-memory job feasible under local-only")
 	}
-	if !(LocalOnly{}).Feasible(job(1, 8, 1000), m, nil) {
+	if !(&LocalOnly{}).Feasible(job(1, 8, 1000), m, nil) {
 		t.Fatal("full-machine local job infeasible")
 	}
-	if (LocalOnly{}).Feasible(job(1, 9, 100), m, nil) {
+	if (&LocalOnly{}).Feasible(job(1, 9, 100), m, nil) {
 		t.Fatal("too-wide job feasible")
 	}
 }
 
 func TestLocalOnlyInsufficientFreeNodes(t *testing.T) {
 	m := cluster.MustNew(placerConfig())
-	first := LocalOnly{}.Plan(job(1, 7, 100), m, nil)
+	first := (&LocalOnly{}).Plan(job(1, 7, 100), m, nil)
 	if err := m.Allocate(first.Alloc); err != nil {
 		t.Fatal(err)
 	}
-	if (LocalOnly{}).Plan(job(2, 2, 100), m, nil) != nil {
+	if (&LocalOnly{}).Plan(job(2, 2, 100), m, nil) != nil {
 		t.Fatal("planned 2 nodes with only 1 free")
 	}
-	if (LocalOnly{}).Plan(job(3, 1, 100), m, nil) == nil {
+	if (&LocalOnly{}).Plan(job(3, 1, 100), m, nil) == nil {
 		t.Fatal("failed to plan 1 node with 1 free")
 	}
 }
@@ -82,7 +82,7 @@ func TestSpillPlanSplitsFootprint(t *testing.T) {
 	m := cluster.MustNew(placerConfig())
 	model := memmodel.Linear{Beta: 0.5}
 	// 1500 MiB per node: 1000 local + 500 remote.
-	p := Spill{}.Plan(job(1, 2, 1500), m, model)
+	p := (&Spill{}).Plan(job(1, 2, 1500), m, model)
 	if p == nil {
 		t.Fatal("spill plan failed on idle machine")
 	}
@@ -108,7 +108,7 @@ func TestSpillRespectsPoolCapacity(t *testing.T) {
 	m := cluster.MustNew(placerConfig())
 	// Each spilling node needs 2000 remote; a 3000 pool holds one such
 	// node per rack → at most 2 machine-wide.
-	p := Spill{}.Plan(job(1, 2, 3000), m, nil)
+	p := (&Spill{}).Plan(job(1, 2, 3000), m, nil)
 	if p == nil {
 		t.Fatal("2-node spill should fit (one per rack)")
 	}
@@ -119,14 +119,14 @@ func TestSpillRespectsPoolCapacity(t *testing.T) {
 	if len(racks) != 2 {
 		t.Fatalf("expected the two nodes on different racks, got pools %v", racks)
 	}
-	if (Spill{}).Plan(job(2, 3, 3000), m, nil) != nil {
+	if (&Spill{}).Plan(job(2, 3, 3000), m, nil) != nil {
 		t.Fatal("3-node spill exceeds total pool capacity but was planned")
 	}
 }
 
 func TestSpillFallsBackToLocal(t *testing.T) {
 	m := cluster.MustNew(placerConfig())
-	p := Spill{}.Plan(job(1, 2, 500), m, nil)
+	p := (&Spill{}).Plan(job(1, 2, 500), m, nil)
 	if p == nil || p.Alloc.RemoteMiB() != 0 {
 		t.Fatalf("small job must place all-local, got %+v", p)
 	}
@@ -134,13 +134,13 @@ func TestSpillFallsBackToLocal(t *testing.T) {
 
 func TestSpillOnTopologyNone(t *testing.T) {
 	m := cluster.MustNew(cluster.BaselineConfig(1000))
-	if (Spill{}).Plan(job(1, 1, 1500), m, nil) != nil {
+	if (&Spill{}).Plan(job(1, 1, 1500), m, nil) != nil {
 		t.Fatal("spill planned remote memory without any pool")
 	}
-	if (Spill{}).Feasible(job(1, 1, 1500), m, nil) {
+	if (&Spill{}).Feasible(job(1, 1, 1500), m, nil) {
 		t.Fatal("big-memory job feasible without pools")
 	}
-	if !(Spill{}).Feasible(job(2, 1, 900), m, nil) {
+	if !(&Spill{}).Feasible(job(2, 1, 900), m, nil) {
 		t.Fatal("local-fitting job infeasible")
 	}
 }
@@ -148,10 +148,10 @@ func TestSpillOnTopologyNone(t *testing.T) {
 func TestSpillFeasibleBounds(t *testing.T) {
 	m := cluster.MustNew(placerConfig())
 	// 2000 remote per node, 3000/rack pool → 1 node per rack, 2 total.
-	if !(Spill{}).Feasible(job(1, 2, 3000), m, nil) {
+	if !(&Spill{}).Feasible(job(1, 2, 3000), m, nil) {
 		t.Fatal("2-node spill should be feasible")
 	}
-	if (Spill{}).Feasible(job(1, 3, 3000), m, nil) {
+	if (&Spill{}).Feasible(job(1, 3, 3000), m, nil) {
 		t.Fatal("3-node spill infeasible but accepted")
 	}
 	// Global pool pools capacity machine-wide.
@@ -159,10 +159,10 @@ func TestSpillFeasibleBounds(t *testing.T) {
 	cfg.Topology = cluster.TopologyGlobal
 	cfg.PoolMiB = 6000
 	gm := cluster.MustNew(cfg)
-	if !(Spill{}).Feasible(job(1, 3, 3000), gm, nil) {
+	if !(&Spill{}).Feasible(job(1, 3, 3000), gm, nil) {
 		t.Fatal("3-node spill fits a 6000 global pool")
 	}
-	if (Spill{}).Feasible(job(1, 4, 3000), gm, nil) {
+	if (&Spill{}).Feasible(job(1, 4, 3000), gm, nil) {
 		t.Fatal("4-node spill exceeds the 6000 global pool")
 	}
 }
@@ -176,7 +176,7 @@ func TestSpillPrefersEmptierPools(t *testing.T) {
 	if err := m.Allocate(pre); err != nil {
 		t.Fatal(err)
 	}
-	p := Spill{}.Plan(job(1, 1, 1800), m, nil)
+	p := (&Spill{}).Plan(job(1, 1, 1800), m, nil)
 	if p == nil {
 		t.Fatal("plan failed")
 	}

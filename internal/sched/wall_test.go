@@ -134,7 +134,7 @@ func newWallFixture(rng *stats.RNG) *wallFixture {
 	total := mc.TotalNodes()
 	for i := rng.Intn(61); i > 0; i-- {
 		j := f.job(rng, total)
-		p := sched.Spill{}.Plan(j, f.m, f.model)
+		p := (&sched.Spill{}).Plan(j, f.m, f.model)
 		if p == nil {
 			continue
 		}

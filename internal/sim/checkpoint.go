@@ -280,16 +280,23 @@ func Resume(cp *Checkpoint, o Overrides) (*Engine, error) {
 	} else {
 		e.src = source.FromJobs(nil)
 	}
+	// One array holds every restored running state; a terminated
+	// job's element goes to the free list like any other.
+	states := make([]runningState, len(cp.running))
+	i := 0
 	for id, rs := range cp.running {
 		alloc, ok := e.m.AllocationOf(id)
 		if !ok {
 			return nil, fmt.Errorf("sim: checkpoint running job %d has no allocation on the cloned machine", id)
 		}
-		e.running[id] = &runningState{
+		st := &states[i]
+		i++
+		*st = runningState{
 			job: rs.job, alloc: alloc, start: rs.start, limit: rs.limit,
 			dilAtStart: rs.dilAtStart, workLeft: rs.workLeft,
 			rate: rs.rate, lastUpdate: rs.lastUpdate,
 		}
+		e.running[id] = st
 	}
 	var err error
 	if e.byID, err = e.runningView("ID", cp.runIDs, byJobID); err != nil {

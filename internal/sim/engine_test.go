@@ -28,11 +28,11 @@ func tinyMachine(poolMiB int64, fabric float64) cluster.Config {
 }
 
 func easyLocal() sched.Scheduler {
-	return &sched.Batch{Order: sched.FCFS{}, Backfill: sched.BackfillEASY, Placer: sched.LocalOnly{}}
+	return &sched.Batch{Order: sched.FCFS{}, Backfill: sched.BackfillEASY, Placer: &sched.LocalOnly{}}
 }
 
 func easySpill() sched.Scheduler {
-	return &sched.Batch{Order: sched.FCFS{}, Backfill: sched.BackfillEASY, Placer: sched.Spill{}}
+	return &sched.Batch{Order: sched.FCFS{}, Backfill: sched.BackfillEASY, Placer: &sched.Spill{}}
 }
 
 func run(t *testing.T, cfg Config, jobs ...*workload.Job) *Result {

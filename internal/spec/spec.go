@@ -225,9 +225,9 @@ func Parse(s string) (*sched.Batch, error) {
 	case !pc.empty():
 		return nil, fmt.Errorf("spec: placer %q does not accept %s=", placerName, pc.firstSet())
 	case placerName == "local":
-		b.Placer = sched.LocalOnly{}
+		b.Placer = &sched.LocalOnly{}
 	default:
-		b.Placer = sched.Spill{}
+		b.Placer = &sched.Spill{}
 	}
 	return b, nil
 }

@@ -67,10 +67,10 @@ func TestAliasExpansionsMatchLegacyConstructors(t *testing.T) {
 	if _, ok := get("sjf-local").Order.(sched.SJF); !ok {
 		t.Error("sjf-local order is not SJF")
 	}
-	if _, ok := get("easy-local").Placer.(sched.LocalOnly); !ok {
+	if _, ok := get("easy-local").Placer.(*sched.LocalOnly); !ok {
 		t.Error("easy-local placer is not LocalOnly")
 	}
-	if _, ok := get("easy-oblivious").Placer.(sched.Spill); !ok {
+	if _, ok := get("easy-oblivious").Placer.(*sched.Spill); !ok {
 		t.Error("easy-oblivious placer is not Spill")
 	}
 }

@@ -60,7 +60,7 @@ func Val1Queueing(o Options) []*Table {
 				Machine: mc,
 				Model:   memmodel.Linear{Beta: 0},
 				Scheduler: &sched.Batch{
-					Order: sched.FCFS{}, Backfill: sched.BackfillNone, Placer: sched.LocalOnly{},
+					Order: sched.FCFS{}, Backfill: sched.BackfillNone, Placer: &sched.LocalOnly{},
 				},
 			}, w)
 			if err != nil {
