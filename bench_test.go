@@ -376,9 +376,13 @@ func BenchmarkForkQuery(b *testing.B) {
 // BenchmarkCheckpointEncode measures SaveCheckpoint throughput: the
 // mid-trace checkpoint is serialized to its durable envelope (magic,
 // version, schema fingerprint, JSON payload, SHA-256 digest) per
-// iteration. It reports MB/s of envelope produced and bytes/ckpt, the
-// envelope size, which is the number to watch for accidental state
-// blowup.
+// iteration. The fixture's first save builds the code of every full
+// record chunk, and the checkpoint keeps it, so an iteration encodes
+// only the records past the last full chunk and the state other than
+// records, then frames and digests all the bytes. It reports MB/s of
+// envelope produced and bytes/ckpt, the envelope size, which is the
+// number to watch for accidental state blowup. BenchmarkCheckpointRing
+// times the saves of a live run, which build each code once.
 func BenchmarkCheckpointEncode(b *testing.B) {
 	b.ReportAllocs()
 	cp, env := midTraceEnvelope(b)
@@ -392,6 +396,56 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(env))*float64(b.N)/1e6/b.Elapsed().Seconds(), "MB/s")
 	b.ReportMetric(float64(len(env)), "bytes/ckpt")
+}
+
+// BenchmarkCheckpointRing measures what a dmserve checkpoint ring
+// costs its baseline: one iteration runs a fresh 2,000-job memaware
+// baseline and saves a checkpoint at every 7,200 s boundary, about 97,
+// to a writer that only counts the bytes, and only the saves are
+// timed. Successive checkpoints share their full record chunks, so
+// each chunk's code is built by the first save that holds it full and
+// reused by every later one. It reports µs/ckpt and bytes/ckpt.
+func BenchmarkCheckpointRing(b *testing.B) {
+	b.ReportAllocs()
+	wl := dismem.SyntheticWorkload(2000, 1)
+	var out byteCounter
+	saves := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		h, err := dismem.New(dismem.Options{Policy: "memaware", Workload: wl})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for at := int64(7200); ; at += 7200 {
+			h.RunUntil(at)
+			if h.Done() {
+				break
+			}
+			cp, err := h.Checkpoint()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			err = dismem.SaveCheckpoint(&out, cp)
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			saves++
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(saves), "µs/ckpt")
+	b.ReportMetric(float64(out)/float64(saves), "bytes/ckpt")
+}
+
+// byteCounter counts the bytes written to it and drops them.
+type byteCounter int64
+
+// Write implements io.Writer.
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
 }
 
 // BenchmarkCheckpointDecode measures LoadCheckpoint throughput on the

@@ -96,8 +96,35 @@ func SaveCheckpoint(w io.Writer, cp *Checkpoint) error {
 	return nil
 }
 
-// encodeCheckpoint flattens cp to the JSON payload bytes.
-func encodeCheckpoint(cp *Checkpoint) ([]byte, error) {
+// recorderOpening is how a retaining recorder's state opens in a
+// payload marshalled without its records, and recordsKey the key
+// encodeCheckpoint splices in right after it. The opening occurs once
+// in a payload: encoding/json escapes every quote inside a string,
+// CheckpointState.Recorder is the payload's only "recorder" key, and
+// "retain" is RecorderState's first field, with no omitempty.
+var (
+	recorderOpening = []byte(`"recorder":{"retain":true,`)
+	recordsKey      = []byte(`"records":`)
+	comma           = []byte(",")
+)
+
+// encodeCheckpoint flattens cp to the JSON payload, in pieces whose
+// concatenation is exactly json.Marshal of the full ckptPayload. The
+// retained records are most of a payload, and encoding them is most of
+// its cost, so they are not marshalled with the rest: the payload is
+// marshalled without them, and their pieces
+// (sim.Checkpoint.RecordsJSON, which reuses each full chunk's
+// code, built once and shared by every checkpoint holding the chunk)
+// go in right after the recorder's opening, as "records":[...], —
+// where json.Marshal writes the field. A checkpoint with no retained
+// records, bounded or not, has no such field (omitempty), and its
+// payload is one piece.
+//
+// A json.Marshaler on the records would be simpler and slower:
+// encoding/json compacts whatever a MarshalJSON method returns, which
+// costs more than encoding the records outright, and it would change
+// the schema fingerprint (durable.Fingerprint).
+func encodeCheckpoint(cp *Checkpoint) ([][]byte, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("dismem: nil checkpoint")
 	}
@@ -108,15 +135,38 @@ func encodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	if o.ModelImpl != nil {
 		return nil, fmt.Errorf("dismem: checkpoint of a run built with Options.ModelImpl has no serialized form (select the model with Options.Model so it can be rebuilt on load)")
 	}
-	st, err := cp.cp.State()
+	st, err := cp.cp.StateWithoutRecords()
 	if err != nil {
 		return nil, fmt.Errorf("dismem: %w", err)
 	}
+	rest, err := json.Marshal(newPayload(o, st))
+	if err != nil {
+		return nil, fmt.Errorf("dismem: encoding checkpoint: %w", err)
+	}
+	records, err := cp.cp.RecordsJSON()
+	if err != nil {
+		return nil, fmt.Errorf("dismem: encoding checkpoint: %w", err)
+	}
+	if len(records) == 0 {
+		return [][]byte{rest}, nil
+	}
+	i := bytes.Index(rest, recorderOpening)
+	if i < 0 {
+		return nil, fmt.Errorf("dismem: encoding checkpoint: no retaining recorder in a payload with retained records")
+	}
+	i += len(recorderOpening)
+	pieces := append([][]byte{rest[:i], recordsKey}, records...)
+	return append(pieces, comma, rest[i:]), nil
+}
+
+// newPayload is the payload of a checkpoint of the run o describes
+// with engine state st.
+func newPayload(o Options, st *sim.CheckpointState) *ckptPayload {
 	scen := ""
 	if o.Scenario != nil {
 		scen = o.Scenario.String()
 	}
-	p := ckptPayload{
+	return &ckptPayload{
 		Machine:         o.Machine,
 		Policy:          o.Policy,
 		Model:           o.Model,
@@ -127,11 +177,6 @@ func encodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 		SampleEvery:     o.SampleEvery,
 		State:           st,
 	}
-	buf, err := json.Marshal(&p)
-	if err != nil {
-		return nil, fmt.Errorf("dismem: encoding checkpoint: %w", err)
-	}
-	return buf, nil
 }
 
 // LoadCheckpoint reads one envelope from r and rebuilds the
@@ -249,25 +294,33 @@ func WriteCheckpointFile(path string, cp *Checkpoint) error {
 	return nil
 }
 
-// writeEnvelope frames pre-encoded payload bytes (see SaveCheckpoint
-// for the layout).
-func writeEnvelope(w io.Writer, payload []byte) error {
-	var hdr bytes.Buffer
-	hdr.WriteString(ckptMagic)
-	var v [4]byte
-	binary.BigEndian.PutUint32(v[:], CheckpointFormatVersion)
-	hdr.Write(v[:])
-	hdr.Write(ckptSchemaFingerprint[:])
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(len(payload)))
-	hdr.Write(n[:])
-	digest := sha256.Sum256(payload)
-	for _, b := range [][]byte{hdr.Bytes(), payload, digest[:]} {
-		if _, err := w.Write(b); err != nil {
+// writeEnvelope frames a pre-encoded payload, given as the pieces
+// encodeCheckpoint returns (see SaveCheckpoint for the layout). The
+// pieces are written as they are, with their length summed and the
+// digest streamed over them, never assembled into one buffer.
+func writeEnvelope(w io.Writer, payload [][]byte) error {
+	var hdr [len(ckptMagic) + 4 + sha256.Size + 8]byte
+	n := copy(hdr[:], ckptMagic)
+	binary.BigEndian.PutUint32(hdr[n:], CheckpointFormatVersion)
+	n += 4
+	n += copy(hdr[n:], ckptSchemaFingerprint[:])
+	size := 0
+	for _, p := range payload {
+		size += len(p)
+	}
+	binary.BigEndian.PutUint64(hdr[n:], uint64(size))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	digest := sha256.New()
+	for _, p := range payload {
+		digest.Write(p)
+		if _, err := w.Write(p); err != nil {
 			return err
 		}
 	}
-	return nil
+	_, err := w.Write(digest.Sum(nil))
+	return err
 }
 
 // ReadCheckpointFile loads a checkpoint written by WriteCheckpointFile

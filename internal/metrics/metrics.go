@@ -97,7 +97,7 @@ func (r *JobRecord) BoundedSlowdown() float64 {
 type Recorder struct {
 	retain bool
 	fold   fold          // retain mode's running reduction (bounded mode folds in agg)
-	chunks [][]JobRecord // retained records, recordChunk to a chunk
+	chunks []chunk       // retained records, recordChunk to a chunk
 	ranked *rankedPrefix // the first ranked.n records' sorted quantities (retain mode)
 	agg    *Aggregate    // bounded-mode online reduction (nil when retaining)
 	users  []userAcc     // fairness tallies, ascending by user
@@ -118,6 +118,20 @@ type Recorder struct {
 // holds, small enough that the one chunk a fork copies on its first
 // append is cheap.
 const recordChunk = 256
+
+// chunk is one entry of a recorder's chunk list: its view of up to
+// recordChunk records and, once the chunk is full, the slot for their
+// JSON code (chunkCode, state.go), which keep allocates when the chunk
+// fills. Every recorder cloned from then on copies the slot's pointer
+// with the entry, and so shares the code as it shares the records. The
+// slot is not allocated with the records: a record array holds no
+// pointers, a block holding the slot too is an object the collector
+// must scan, and with such blocks a parallel Table 2 sweep measured
+// slower (EXPERIMENTS.md).
+type chunk struct {
+	recs []JobRecord
+	code *chunkCode // nil until the chunk is full
+}
 
 // rankedPrefix is the sorted waits, bounded slowdowns and remote
 // dilations of a recorder's first n retained records. Retained records
@@ -185,10 +199,10 @@ func (rec *Recorder) Bounded() bool { return !rec.retain }
 // otherwise (a checkpoint of a live or forked run).
 func (rec *Recorder) Clone() *Recorder {
 	c := *rec
-	c.chunks = append([][]JobRecord(nil), rec.chunks...)
+	c.chunks = append([]chunk(nil), rec.chunks...)
 	if n := len(c.chunks); n > 0 {
-		last := c.chunks[n-1]
-		c.chunks[n-1] = last[:len(last):len(last)]
+		last := &c.chunks[n-1]
+		last.recs = last.recs[:len(last.recs):len(last.recs)]
 	}
 	if n := rec.count(); rec.retain && (rec.ranked == nil || rec.ranked.n != n) {
 		c.ranked = &rankedPrefix{n: n}
@@ -245,19 +259,23 @@ func (rec *Recorder) Add(r JobRecord) {
 // keep folds r into the running reduction and retains it. A new chunk
 // starts when the last is full; a last chunk whose capacity Clone
 // clipped is shared with the recorder it was cloned from or into, so
-// it is copied into a chunk of its own before the write.
+// it is copied into a chunk of its own before the write. A chunk that
+// the write fills gets its code slot.
 func (rec *Recorder) keep(r *JobRecord) {
 	rec.fold.add(r)
 	n := len(rec.chunks)
-	if n == 0 || len(rec.chunks[n-1]) == recordChunk {
-		rec.chunks = append(rec.chunks, make([]JobRecord, 0, recordChunk))
+	if n == 0 || len(rec.chunks[n-1].recs) == recordChunk {
+		rec.chunks = append(rec.chunks, chunk{recs: make([]JobRecord, 0, recordChunk)})
 		n++
 	}
-	last := rec.chunks[n-1]
-	if len(last) == cap(last) {
-		last = append(make([]JobRecord, 0, recordChunk), last...)
+	last := &rec.chunks[n-1]
+	if len(last.recs) == cap(last.recs) {
+		last.recs = append(make([]JobRecord, 0, recordChunk), last.recs...)
 	}
-	rec.chunks[n-1] = append(last, *r)
+	last.recs = append(last.recs, *r)
+	if len(last.recs) == recordChunk {
+		last.code = new(chunkCode)
+	}
 }
 
 // count returns the number of retained records.
@@ -266,7 +284,7 @@ func (rec *Recorder) count() int {
 	if n == 0 {
 		return 0
 	}
-	return (n-1)*recordChunk + len(rec.chunks[n-1])
+	return (n-1)*recordChunk + len(rec.chunks[n-1].recs)
 }
 
 // Records returns a copy of the job records, so callers can sort or
@@ -278,7 +296,7 @@ func (rec *Recorder) Records() []JobRecord {
 	}
 	out := make([]JobRecord, 0, rec.count())
 	for _, c := range rec.chunks {
-		out = append(out, c...)
+		out = append(out, c.recs...)
 	}
 	return out
 }
@@ -373,7 +391,7 @@ func recordRemoteDilation(r *JobRecord) (float64, bool) {
 func (rec *Recorder) gather(buf []float64, from, to int, val func(*JobRecord) (float64, bool)) []float64 {
 	buf = buf[:0]
 	for ci := from / recordChunk; ci*recordChunk < to; ci++ {
-		c := rec.chunks[ci]
+		c := rec.chunks[ci].recs
 		for i := max(from-ci*recordChunk, 0); i < min(to-ci*recordChunk, len(c)); i++ {
 			if v, ok := val(&c[i]); ok {
 				buf = append(buf, v)

@@ -1,16 +1,20 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
+	"sync"
 
 	"dismem/internal/stats"
 )
 
 // This file is the durable-checkpoint face of the package: portable,
 // JSON-friendly state for the Recorder (both modes) and its bounded
-// Aggregate, with validated constructors. The sink is deliberately
-// absent — a sink is a live external writer; a restored run attaches
-// its own, exactly as Clone-based in-memory forks do.
+// Aggregate, with validated constructors, and the retained records'
+// JSON code, which checkpoints splice into their payload instead of
+// marshalling the records again (RecordsJSON). The sink is
+// deliberately absent — a sink is a live external writer; a restored
+// run attaches its own, exactly as Clone-based in-memory forks do.
 
 // AggregateState is the portable serialized form of an Aggregate. The
 // Online accumulators marshal via their own JSON methods; the hybrid
@@ -106,9 +110,17 @@ type RecorderState struct {
 // State captures the recorder. Fairness tallies are kept ordered by
 // user ID, so the serialized form is deterministic across runs.
 func (rec *Recorder) State() RecorderState {
+	st := rec.StateWithoutRecords()
+	st.Records = rec.Records()
+	return st
+}
+
+// StateWithoutRecords is State with Records left empty, and without
+// the copy of the records State makes: the form an encoder marshals
+// when it writes the records from RecordsJSON itself.
+func (rec *Recorder) StateWithoutRecords() RecorderState {
 	st := RecorderState{
 		Retain:      rec.retain,
-		Records:     rec.Records(),
 		LastT:       rec.lastT,
 		HaveT:       rec.haveT,
 		NodeInt:     rec.nodeInt,
@@ -181,4 +193,83 @@ func RecorderFromState(st RecorderState) (*Recorder, error) {
 		rec.users = append(rec.users, userAcc{user: ua.User, jobs: ua.Jobs, wait: ua.Wait, bsld: ua.BSld, nodeHours: ua.NodeHours})
 	}
 	return rec, nil
+}
+
+// chunkCode is the JSON code of one full chunk's records: each record
+// exactly as encoding/json writes it as an element of a []JobRecord,
+// followed by a comma. A full chunk is never written again (keep,
+// Clone), so its code never goes stale: it is built at most once, by
+// the first RecordsJSON that needs it, and every recorder holding the
+// chunk's slot (chunk) shares it. A chunk json.Marshal rejects (a
+// non-finite float) keeps the error instead, and every encode of it
+// fails with that error.
+type chunkCode struct {
+	once sync.Once
+	b    []byte
+	err  error
+}
+
+// get returns the code of recs, the full chunk the slot belongs to.
+func (c *chunkCode) get(recs []JobRecord) ([]byte, error) {
+	c.once.Do(func() {
+		b, err := json.Marshal(recs)
+		if err != nil {
+			c.err = err
+			return
+		}
+		// [r0,...,rN] becomes r0,...,rN, in place.
+		b[len(b)-1] = ','
+		c.b = b[1:]
+	})
+	return c.b, c.err
+}
+
+// The array brackets of RecordsJSON's pieces.
+var (
+	openArray  = []byte("[")
+	closeArray = []byte("]")
+)
+
+// RecordsJSON returns the retained records' JSON array in pieces:
+// joined, they are json.Marshal(rec.Records())'s bytes, and it fails
+// where that fails, with its error. It returns no pieces when no
+// records are retained (bounded mode included), where a field tagged
+// omitempty writes nothing either.
+//
+// Every full chunk contributes its shared code (chunkCode), so only
+// the records past the last full chunk are marshalled afresh: a
+// recorder that is checkpointed again and again encodes each record
+// about once. The pieces alias the codes, which every recorder holding
+// their chunks shares, so they are read-only. Any number of goroutines
+// may call it at once on recorders sharing chunks.
+func (rec *Recorder) RecordsJSON() ([][]byte, error) {
+	n := len(rec.chunks)
+	if n == 0 {
+		return nil, nil
+	}
+	tail := rec.chunks[n-1].recs
+	full := n - 1
+	if len(tail) == recordChunk {
+		tail, full = nil, n
+	}
+	pieces := make([][]byte, 0, full+2)
+	pieces = append(pieces, openArray)
+	for _, c := range rec.chunks[:full] {
+		code, err := c.code.get(c.recs)
+		if err != nil {
+			return nil, err
+		}
+		pieces = append(pieces, code)
+	}
+	if len(tail) == 0 {
+		// The last code's trailing comma gives way to the bracket.
+		last := pieces[full]
+		pieces[full] = last[:len(last)-1]
+		return append(pieces, closeArray), nil
+	}
+	b, err := json.Marshal(tail)
+	if err != nil {
+		return nil, err
+	}
+	return append(pieces, b[1:]), nil
 }

@@ -121,12 +121,25 @@ type CheckpointState struct {
 // in-memory Fork path is broader than the durable one; see
 // dismem.SaveCheckpoint for what qualifies.
 func (cp *Checkpoint) State() (*CheckpointState, error) {
+	st, err := cp.StateWithoutRecords()
+	if err != nil {
+		return nil, err
+	}
+	st.Recorder.Records = cp.rec.Records()
+	return st, nil
+}
+
+// StateWithoutRecords is State with the recorder's retained records
+// left out (Recorder.Records empty), for an encoder that writes them
+// from RecordsJSON: the records are most of a checkpoint's
+// bytes, and their code is shared with every checkpoint taken before.
+func (cp *Checkpoint) StateWithoutRecords() (*CheckpointState, error) {
 	st := &CheckpointState{
 		Bounded:     cp.rec.Bounded(),
 		Now:         cp.now,
 		Fired:       cp.fired,
 		Machine:     cp.machine.State(),
-		Recorder:    cp.rec.State(),
+		Recorder:    cp.rec.StateWithoutRecords(),
 		Queue:       cp.queue,
 		RunIDs:      cp.runIDs,
 		EndOrder:    cp.endOrder,
@@ -199,6 +212,13 @@ func (cp *Checkpoint) State() (*CheckpointState, error) {
 	}
 	sort.Ints(st.ScenarioDown)
 	return st, nil
+}
+
+// RecordsJSON returns the JSON array, in pieces, of the checkpointed
+// recorder's retained records, the ones StateWithoutRecords leaves
+// out (metrics.Recorder.RecordsJSON).
+func (cp *Checkpoint) RecordsJSON() ([][]byte, error) {
+	return cp.rec.RecordsJSON()
 }
 
 // CheckpointFromState rebuilds a checkpoint from its serialized state
